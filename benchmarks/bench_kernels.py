@@ -4,8 +4,9 @@
 Loads both implementations directly (ignoring the import-time selector) and
 times the hot loops on representative workloads: membership scans over a
 multidegree box, the face-mask pass behind the Betti oracle, the colon
-search behind the associated-primes oracle, boundary-matrix ranks, and the
-sortability box scan.  Run from the repository root:
+search behind the associated-primes oracle, and boundary-matrix ranks.  The
+sortability search is not timed here: it runs on the pure lane either way.
+Run from the repository root:
 
     python benchmarks/bench_kernels.py [--repeat 3]
 """
@@ -130,15 +131,6 @@ def main():
         impls,
         lambda impl: None,
         lambda impl, _: [impl.rank_int_rows(rows) for rows in matrices],
-        args.repeat,
-    )
-
-    print("sortability workload: blocks (3,3,3), degree 13, cap 3")
-    bench(
-        "sortability box scan",
-        impls,
-        lambda impl: None,
-        lambda impl, _: impl.sortable_box_scan((3, 3, 3), 13, 3),
         args.repeat,
     )
 

@@ -30,6 +30,16 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(doc, human_lines=None, human=False):
     if human and human_lines is not None:
         for line in human_lines:
@@ -160,18 +170,17 @@ def _cmd_sort_check(args) -> int:
         "sortable": violation is None,
         "violation": list(violation) if violation is not None else None,
     }
+    pres = sorting.ToricPresentation(bitype_ideal(params))
     if args.gb_evidence:
-        pres = sorting.ToricPresentation(bitype_ideal(params))
         evidence = sorting.quadratic_gb_evidence(
             pres, max_degree=args.max_degree, jobs=args.jobs
         )
         doc.update(evidence.to_dict())
     else:
-        pres = sorting.ToricPresentation(bitype_ideal(params))
         try:
             doc["relationCount"] = len(sorting.sorting_relations(pres, args.max_pairs))
         except SizeGuardError as exc:
-            # sortability itself is already settled by the box scan above
+            # sortability itself is already settled by sortable_violation above
             doc["relationCount"] = None
             doc["guardNote"] = str(exc)
         doc["fibersChecked"] = {}
@@ -246,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics for degree-capped block monomial ideals.",
     )
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--jobs", type=int, default=1, help="worker threads for parallel sections")
+    shared.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker threads for parallel sections"
+    )
     shared.add_argument("--human", action="store_true", help="readable text instead of JSON/CSV")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,6 @@ elimination); no floating point anywhere.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -194,6 +193,8 @@ def betti_table(ideal: MonomialIdeal, box_cap: int | None = None, jobs: int = 1)
     box = product(*(range(b + 1) for b in bounds))
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             chunks = pool.map(lambda a: _betti_at(ideal, a), box)
             for chunk in chunks:

@@ -1,13 +1,16 @@
 """Kernel selection: compiled extension when built, pure Python otherwise.
 
 The hot inner loops (membership scans, colon-prime scans, boundary-matrix
-ranks, the sortability box scan) live behind a tiny interface implemented
-twice: ``_speedups`` (Cython) and ``_pure`` (plain Python).  The compiled
-module is preferred at import time; set ``BITYPE_PURE_KERNELS=1`` to force
-the fallback, e.g. for benchmarking or debugging.
+ranks) live behind a tiny interface implemented twice: ``_speedups``
+(Cython) and ``_pure`` (plain Python).  The compiled module is preferred at
+import time; set ``BITYPE_PURE_KERNELS=1`` to force the fallback, e.g. for
+benchmarking or debugging.
 
 Both implementations are kept output-identical, including enumeration
-order; ``tests/test_kernels.py`` holds them to that.
+order; ``tests/test_kernels.py`` holds them to that.  The sortability
+search always runs on the pure lane: its memoized search over pair-sums
+outruns the compiled box scan, which remains only as the reference the
+search is tested against on compiled builds.
 """
 
 import os
@@ -45,5 +48,5 @@ def rank_int_rows(rows) -> int:
 
 
 def sortable_box_scan(block_sizes, t, s):
-    """First sorting-closure violation over the pair-sum box, or None."""
-    return _impl.sortable_box_scan(block_sizes, t, s)
+    """First sorting-closure violation among the pair-sums, or None."""
+    return _pure.sortable_box_scan(block_sizes, t, s)

@@ -4,7 +4,9 @@ These mirror the compiled extension ``_speedups`` one-to-one: same function
 names, same argument conventions, same outputs (including enumeration order,
 so first-witness results agree across implementations).  They are the
 fallback when the extension is not built and the reference the extension is
-tested against.
+tested against.  The exception is :func:`sortable_box_scan`, a memoized
+search that runs on both lanes; the compiled box scan is only checked
+against it.
 
 Conventions shared by both implementations:
 
@@ -140,92 +142,101 @@ def rank_int_rows(rows) -> int:
     return rank
 
 
-def _split_parity(c):
-    """Interleave the 2t merged variable occurrences; odd slots vs even slots."""
-    u = []
-    prefix = 0
-    for ck in c:
-        u.append((ck + 1) // 2 if prefix % 2 == 0 else ck // 2)
-        prefix += ck
-    return u
+def _entry_split(ck, odd):
+    """First-half share of c_k under the interleave, given the prefix parity.
 
-
-def _leaf_violation(c, offsets, sizes, t, s):
-    """Check one candidate pair-sum ``c``; return c if it violates closure."""
-    # Is c a sum of two admissible vectors?  Per variable the summand is
-    # boxed in [max(0, c_k - s), min(s, c_k)]; per block its total must
-    # leave degree >= 1 on both sides; the grand total must reach t.
-    tot_lo = 0
-    tot_hi = 0
-    for i, m in enumerate(sizes):
-        lo_sum = 0
-        hi_sum = 0
-        cb = 0
-        for k in range(offsets[i], offsets[i] + m):
-            ck = c[k]
-            cb += ck
-            lo_sum += ck - s if ck > s else 0
-            hi_sum += s if ck > s else ck
-        lo_i = max(1, lo_sum)
-        hi_i = min(cb - 1, hi_sum)
-        if lo_i > hi_i:
-            return None
-        tot_lo += lo_i
-        tot_hi += hi_i
-    if not (tot_lo <= t <= tot_hi):
-        return None
-    u = _split_parity(c)
-    for i, m in enumerate(sizes):
-        ub = 0
-        cb = 0
-        for k in range(offsets[i], offsets[i] + m):
-            if u[k] > s or c[k] - u[k] > s:
-                return tuple(c)
-            ub += u[k]
-            cb += c[k]
-        if ub == 0 or ub == cb:
-            return tuple(c)
-    return None
+    The merged occurrences are dealt alternately, so a variable whose
+    occurrences start on an odd slot gives the first half the extra one.
+    """
+    return ck // 2 if odd else (ck + 1) // 2
 
 
 def sortable_box_scan(block_sizes, t, s):
     """First pair-sum whose interleave split leaves the generator set, or None.
 
     The sort of a pair depends only on its exponent sum, so closure under
-    sorting is checked by scanning candidate sums c (degree 2t, entries
-    <= 2s, every block >= 2) that decompose into two generators.
+    sorting is decided over the candidate sums c: degree 2t, entries <= 2s,
+    and decomposable into two generators.  The sums are walked depth-first
+    in lexicographic order (last coordinate fastest), carrying only what
+    decides the leaves below:
+
+    * the remaining degree and the parity of the prefix sum;
+    * for the current block, its partial c-sum, the partial first-half sum,
+      and the partial upper bound sum_k min(s, c_k) on a summand's block
+      degree (the lower bound sum_k max(0, c_k - s) is the c-sum minus it);
+    * for finished blocks, the summed bounds ``tot_lo`` and ``tot_hi`` on a
+      summand's degree, pruned as soon as t falls outside them;
+    * ``bad``: some split entry exceeds s, or some block split is empty or
+      full;
+    * the degree of the first half so far.
+
+    A leaf violates closure iff it is a pair-sum and its first half is not
+    a generator: ``bad`` is set or that degree is not t.  Search states
+    proven violation-free are remembered for the rest of the call; states
+    holding a violation end the search at once, so the witness returned is
+    the lexicographically first violating sum.
     """
     sizes = tuple(block_sizes)
-    offsets = []
-    acc = 0
-    for m in sizes:
-        offsets.append(acc)
-        acc += m
-    n = acc
+    n = sum(sizes)
     is_end = [False] * n
-    for i in range(len(sizes)):
-        is_end[offsets[i] + sizes[i] - 1] = True
-
-    c = [0] * n
+    # per variable: the fewest blocks and the largest summand degree still
+    # to come after the block it closes
+    blocks_after = [0] * n
+    hi_after = [0] * n
+    acc = 0
+    for i, m in enumerate(sizes):
+        acc += m
+        is_end[acc - 1] = True
+        blocks_after[acc - 1] = len(sizes) - i - 1
+        hi_after[acc - 1] = s * sum(sizes[i + 1:])
     cap = 2 * s
+    split = _entry_split
+    c = [0] * n
+    clean = set()
 
-    def rec(k, rem, block_partial):
+    def rec(k, rem, odd, cb, ub, hi, tot_lo, tot_hi, bad, udeg):
         if k == n:
-            return _leaf_violation(c, offsets, sizes, t, s) if rem == 0 else None
+            return tuple(c) if bad or udeg != t else None
+        key = (k, rem, odd, cb, ub, hi, tot_lo, tot_hi, bad, udeg)
+        if key in clean:
+            return None
         tail = cap * (n - k - 1)
-        lo = rem - tail if rem > tail else 0
-        hi = cap if cap < rem else rem
-        if is_end[k] and lo < 2 - block_partial:
-            lo = 2 - block_partial
-        if lo < 0:
-            lo = 0
-        for v in range(lo, hi + 1):
+        lo_v = rem - tail if rem > tail else 0
+        hi_v = cap if cap < rem else rem
+        for v in range(lo_v, hi_v + 1):
             c[k] = v
-            nxt = 0 if is_end[k] else block_partial + v
-            bad = rec(k + 1, rem - v, nxt)
-            if bad is not None:
-                return bad
-        c[k] = 0
+            u = split(v, odd)
+            nbad = bad or u > s or v - u > s
+            ncb = cb + v
+            nub = ub + u
+            nhi = hi + (v if v < s else s)
+            if is_end[k]:
+                lo_i = ncb - nhi
+                if lo_i < 1:
+                    lo_i = 1
+                hi_i = ncb - 1 if ncb - 1 < nhi else nhi
+                if lo_i > hi_i:
+                    continue
+                ntot_lo = tot_lo + lo_i
+                ntot_hi = tot_hi + hi_i
+                if ntot_lo + blocks_after[k] > t or ntot_hi + hi_after[k] < t:
+                    continue
+                found = rec(
+                    k + 1, rem - v, odd ^ (v & 1), 0, 0, 0, ntot_lo,
+                    ntot_hi if ntot_hi < t else t,
+                    nbad or nub == 0 or nub == ncb, udeg + u,
+                )
+            else:
+                found = rec(k + 1, rem - v, odd ^ (v & 1), ncb, nub, nhi,
+                            tot_lo, tot_hi, nbad, udeg + u)
+            if found is not None:
+                return found
+        clean.add(key)
         return None
 
-    return rec(0, 2 * t, 0)
+    try:
+        return rec(0, 2 * t, 0, 0, 0, 0, 0, 0, False, 0)
+    finally:
+        # rec refers to itself through its closure; breaking that cycle
+        # frees the memo now instead of at the next full collection
+        del rec

@@ -8,7 +8,6 @@ identical invocations produce byte-identical documents.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -187,6 +186,8 @@ def report_grid(name: str, jobs: int = 1) -> list[ReportRow]:
         return _row(blocks, t, s, quantity, lambda: _CELLS[quantity](params))
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(run, cells))
     else:

@@ -14,7 +14,6 @@ a unique normal form under directed rewriting.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
@@ -56,8 +55,8 @@ def is_sortable(vectors) -> bool:
 
     Scans unordered pairs, deduplicating by exponent sum since the sorted
     image depends only on that sum.  Intended for desk-size sets; the grid
-    sweep uses :func:`sortable_violation` which scans candidate sums
-    directly.
+    sweep uses :func:`sortable_violation`, which searches the candidate
+    sums directly.
     """
     vs = [m.entries for m in vectors]
     if not vs:
@@ -80,8 +79,10 @@ def sortable_violation(params: IdealParameters):
     """First closure violation for the full bi-type generator set, or None.
 
     Exact and equivalent to running :func:`is_sortable` on all generators:
-    the sort of a pair is a function of its exponent sum, so the candidate
-    sums are scanned instead of the quadratically many pairs.
+    the sort of a pair is a function of its exponent sum, so a memoized
+    depth-first search walks the candidate sums in lexicographic order,
+    instead of the quadratically many pairs, and returns the first sum
+    whose sorted image leaves the set.
     """
     return kernels.sortable_box_scan(params.blocks.block_sizes, params.t, params.s)
 
@@ -319,6 +320,8 @@ def quadratic_gb_evidence(
             work.append((d, target, members))
     violations: list[dict] = []
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = pool.map(
                 lambda item: _check_fiber(pres, item[0], item[1], item[2], step_cap), work

@@ -150,6 +150,34 @@ class TestSortCheck:
         assert doc["sortable"] is True
         assert doc["relationCount"] is None and "guardNote" in doc
 
+    def test_many_variables(self, capsys):
+        # 66 variables: past the 64 the compiled box scan could hold
+        code, out, err = run(
+            capsys,
+            "sort-check", "--blocks", "33,33", "--t", "2", "--s", "1",
+            "--max-pairs", "1000",
+        )
+        assert code == 0 and "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["sortable"] is True and doc["violation"] is None
+        assert doc["relationCount"] is None and "guardNote" in doc
+
+
+class TestJobs:
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_rejected_as_usage_error(self, capsys, value):
+        code, out, err = run(
+            capsys, "gen", "--blocks", "2,2", "--t", "2", "--s", "2", "--jobs", value
+        )
+        assert code == 2 and out == ""
+        assert "--jobs" in err
+
+    def test_positive_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "gen", "--blocks", "2,2", "--t", "2", "--s", "2", "--jobs", "2"
+        )
+        assert code == 0 and json.loads(out)["count"] == 4
+
 
 class TestGraph:
     def test_walk_ideal_matches(self, capsys):

@@ -1,5 +1,7 @@
 """Sort operator laws, sortability checks, relations, fibers, rewriting."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,10 @@ from bitype import (
     bitype_ideal,
     make_params,
 )
+from bitype.kernels import _pure
 from bitype.sorting import (
     ToricPresentation,
+    _split,
     fiber,
     fibers_of_degree,
     is_sortable,
@@ -117,6 +121,79 @@ class TestSortable:
                         t,
                         s,
                     )
+
+
+def _first_half(c, rule):
+    """Apply a per-entry split rule along c, tracking the prefix parity."""
+    first = []
+    odd = 0
+    for ck in c:
+        first.append(rule(ck, odd))
+        odd ^= ck & 1
+    return tuple(first)
+
+
+def _first_violating_sum(gens, rule):
+    """Brute force: the lexicographically first pair-sum g+h whose split leaves gens."""
+    pool = set(gens)
+    sums = {tuple(a + b for a, b in zip(g, h)) for i, g in enumerate(gens) for h in gens[i:]}
+    for c in sorted(sums):
+        first = _first_half(c, rule)
+        second = tuple(ck - uk for ck, uk in zip(c, first))
+        if first not in pool or second not in pool:
+            return c
+    return None
+
+
+def _small_instances():
+    """Every valid (blocks, t, s) with at most three blocks and N <= 5."""
+    for n in (1, 2, 3):
+        for blocks in product((1, 2, 3), repeat=n):
+            if sum(blocks) > 5:
+                continue
+            for s in (1, 2, 3):
+                for t in range(n, s * sum(blocks) + 1):
+                    try:
+                        yield make_params(blocks, t, s)
+                    except ParameterRangeError:
+                        continue
+
+
+class TestSortabilitySearch:
+    """The pair-sum search against a brute force over the builder's generator pairs."""
+
+    @pytest.mark.parametrize(
+        "rule,violating",
+        [
+            (lambda ck, odd: (ck + 1) // 2, 319),
+            (lambda ck, odd: ck // 2, 319),
+            # odd entries go whole to alternating sides: the first half often
+            # keeps degree t, so only the entry-cap and empty-block checks
+            # can see these violations
+            (lambda ck, odd: ck // 2 if ck % 2 == 0 else (0 if odd else ck), 262),
+        ],
+        ids=["always-ceil", "always-floor", "odd-entries-whole"],
+    )
+    def test_mutated_split_caught_with_first_witness(self, monkeypatch, rule, violating):
+        monkeypatch.setattr(_pure, "_entry_split", rule)
+        instances = violations = 0
+        for params in _small_instances():
+            gens = [g.entries for g in bitype_ideal(params).gens]
+            expected = _first_violating_sum(gens, rule)
+            assert sortable_violation(params) == expected, params
+            instances += 1
+            violations += expected is not None
+        assert (instances, violations) == (385, violating)
+
+    def test_true_split_has_no_violation(self):
+        for params in _small_instances():
+            gens = [g.entries for g in bitype_ideal(params).gens]
+            assert _first_violating_sum(gens, _pure._entry_split) is None
+            assert sortable_violation(params) is None, params
+
+    def test_true_split_is_the_interleave(self):
+        for c in [(3, 0, 2, 5), (1, 1, 1, 1), (0, 4, 3, 3, 1)]:
+            assert _first_half(c, _pure._entry_split) == _split(c)[0]
 
 
 class TestRelations:
