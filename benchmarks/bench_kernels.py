@@ -16,6 +16,7 @@ import time
 from itertools import product
 
 from bitype import bitype_ideal, make_params
+from bitype.homology import _boundary_rows, _complex_at
 from bitype.kernels import _pure
 
 try:
@@ -95,36 +96,11 @@ def main():
     # boundary matrices of every Koszul complex of a mid-size ideal
     small = bitype_ideal(make_params((2, 2), 4, 2))
     matrices = []
-    s_flat, s_count = _flat(small), len(small.gens)
     s_bounds = small.lcm_of_generators().entries
-    pure_table = _pure.make_table(s_flat, s_count, 4)
+    pure_table = _pure.make_table(_flat(small), len(small.gens), 4)
     for a in product(*(range(b + 1) for b in s_bounds)):
-        masks = pure_table.deficit_masks(a)
-        faces = set()
-        for m in masks:
-            sub = m
-            while True:
-                faces.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
-        by_size = {}
-        for f in faces:
-            by_size.setdefault(bin(f).count("1"), []).append(f)
-        for size, bucket in sorted(by_size.items()):
-            if size == 0 or size - 1 not in by_size:
-                continue
-            bucket.sort()
-            lower = {f: i for i, f in enumerate(sorted(by_size[size - 1]))}
-            rows = []
-            for face in bucket:
-                row = [0] * len(lower)
-                bits = [b for b in range(face.bit_length()) if (face >> b) & 1]
-                for pos, b in enumerate(bits):
-                    row[lower[face ^ (1 << b)]] = -1 if pos % 2 else 1
-                rows.append(row)
-            if rows:
-                matrices.append(rows)
+        grouped = _complex_at(a, pure_table.deficit_masks(a)).faces_by_dim()
+        matrices.extend(_boundary_rows(grouped, size) for size in range(1, len(grouped)))
     print(f"rank workload: {len(matrices)} boundary matrices from a 17-generator ideal")
     bench(
         "boundary-matrix ranks",

@@ -3,11 +3,13 @@
 Subcommands: gen, invariants, ass, betti, sort-check, graph, report.
 JSON on stdout is the primary output (CSV for grid reports, readable text
 behind --human); identical invocations yield byte-identical documents.
-Exit codes: 0 ok, 2 usage, 3 range error, 4 size-guard error.
+Exit codes: 0 ok, 1 stdout closed early (broken pipe), 2 usage, 3 range
+error, 4 size-guard error.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import assoc, covers, homology, report, sorting
@@ -17,6 +19,7 @@ from .errors import BitypeError, ParameterRangeError, SizeGuardError
 from .graphs import edge_ideal, generalized_graph_ideal, strong_block_graph, to_dot
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_RANGE = 3
 EXIT_GUARD = 4
@@ -141,7 +144,7 @@ def _cmd_ass(args) -> int:
 def _cmd_betti(args) -> int:
     params = make_params(_parse_blocks(args.blocks), args.t, args.s)
     ideal = bitype_ideal(params)
-    table = homology.betti_table(ideal, args.max_box, jobs=args.jobs)
+    table = homology.betti_table(ideal, args.max_box)
     doc = table.to_dict()
     doc.update(
         {
@@ -172,9 +175,7 @@ def _cmd_sort_check(args) -> int:
     }
     pres = sorting.ToricPresentation(bitype_ideal(params))
     if args.gb_evidence:
-        evidence = sorting.quadratic_gb_evidence(
-            pres, max_degree=args.max_degree, jobs=args.jobs
-        )
+        evidence = sorting.quadratic_gb_evidence(pres, max_degree=args.max_degree)
         doc.update(evidence.to_dict())
     else:
         try:
@@ -236,7 +237,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = report.report_grid(args.grid, jobs=args.jobs)
+    rows = report.report_grid(args.grid)
     if args.human:
         for row in rows:
             print(
@@ -256,7 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker threads for parallel sections"
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility; all work runs on one thread",
     )
     shared.add_argument("--human", action="store_true", help="readable text instead of JSON/CSV")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,12 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+def _run(args) -> int:
     try:
         return args.fn(args)
     except SizeGuardError as exc:
@@ -331,6 +330,25 @@ def main(argv=None) -> int:
     except BitypeError as exc:
         print(json.dumps({"error": {"type": "range", "message": str(exc)}}, sort_keys=True))
         return EXIT_RANGE
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
+    except BrokenPipeError:
+        # the recipe from the signal module docs: later writes and the flush
+        # at interpreter exit go to devnull, so nothing is printed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

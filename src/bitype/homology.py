@@ -83,6 +83,20 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> KoszulComplex:
     return _complex_at(a.entries, ideal._table.deficit_masks(a.entries))
 
 
+def _boundary_rows(grouped: list[list[int]], size: int) -> list[list[int]]:
+    """Boundary matrix from size-vertex to (size-1)-vertex faces of ``faces_by_dim``."""
+    lower = {f: i for i, f in enumerate(grouped[size - 1])}
+    width = len(lower)
+    rows = []
+    for face in grouped[size]:
+        row = [0] * width
+        bits = [b for b in range(face.bit_length()) if (face >> b) & 1]
+        for pos, b in enumerate(bits):
+            row[lower[face ^ (1 << b)]] = -1 if pos % 2 else 1
+        rows.append(row)
+    return rows
+
+
 def reduced_homology_ranks(complex_: KoszulComplex) -> dict[int, int]:
     """Reduced rational homology ranks by dimension, -1 upward.
 
@@ -92,23 +106,14 @@ def reduced_homology_ranks(complex_: KoszulComplex) -> dict[int, int]:
     grouped = complex_.faces_by_dim()
     if not grouped:
         return {}
-    index_of = [{f: i for i, f in enumerate(bucket)} for bucket in grouped]
     top = len(grouped) - 1
     # boundary_rank[d] = rank of the map from (d)-faces to (d-1)-faces,
     # with d counted by vertex count here (0 = empty face)
     boundary_rank = [0] * (top + 2)
     for size in range(1, top + 1):
-        rows = []
-        lower = index_of[size - 1]
-        width = len(grouped[size - 1])
-        for face in grouped[size]:
-            row = [0] * width
-            bits = [b for b in range(face.bit_length()) if (face >> b) & 1]
-            for pos, b in enumerate(bits):
-                row[lower[face ^ (1 << b)]] = -1 if pos % 2 else 1
-            rows.append(row)
-        # rank of the transpose equals the rank; rows are the higher faces
-        boundary_rank[size] = kernels.rank_int_rows(rows) if rows and width else 0
+        # rank of the transpose equals the rank; rows are the higher faces.
+        # Faces are downward closed, so no bucket up to top is empty.
+        boundary_rank[size] = kernels.rank_int_rows(_boundary_rows(grouped, size))
     ranks = {}
     for size in range(len(grouped)):
         ranks[size - 1] = len(grouped[size]) - boundary_rank[size] - boundary_rank[size + 1]
@@ -176,12 +181,11 @@ def _betti_at(ideal: MonomialIdeal, a: tuple[int, ...]) -> list[tuple[int, tuple
     return out
 
 
-def betti_table(ideal: MonomialIdeal, box_cap: int | None = None, jobs: int = 1) -> BettiTable:
+def betti_table(ideal: MonomialIdeal, box_cap: int | None = None) -> BettiTable:
     """Betti numbers of the ideal over the whole lcm box.
 
-    The per-multidegree computations are independent; with jobs > 1 they
-    run on a thread pool, and the table is assembled in box order either
-    way so results are deterministic.
+    Multidegrees are visited one at a time in box order, so the table is
+    deterministic.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("Betti oracle needs a nonzero, proper ideal")
@@ -190,23 +194,13 @@ def betti_table(ideal: MonomialIdeal, box_cap: int | None = None, jobs: int = 1)
     size = math.prod(b + 1 for b in bounds)
     if size > cap:
         raise SizeGuardError(f"multidegree box of size {size} exceeds cap {cap}")
-    box = product(*(range(b + 1) for b in bounds))
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(lambda a: _betti_at(ideal, a), box)
-            for chunk in chunks:
-                for i, a, rank in chunk:
-                    entries[(i, a)] = rank
-    else:
-        for a in box:
-            for i, a_, rank in _betti_at(ideal, a):
-                entries[(i, a_)] = rank
+    for a in product(*(range(b + 1) for b in bounds)):
+        for i, a_, rank in _betti_at(ideal, a):
+            entries[(i, a_)] = rank
     return BettiTable(ideal=ideal, entries=entries)
 
 
-def regularity_oracle(ideal: MonomialIdeal, box_cap: int | None = None, jobs: int = 1) -> int:
+def regularity_oracle(ideal: MonomialIdeal, box_cap: int | None = None) -> int:
     """Quotient regularity from the homology-derived Betti table."""
-    return betti_table(ideal, box_cap, jobs).quotient_regularity()
+    return betti_table(ideal, box_cap).quotient_regularity()

@@ -177,21 +177,11 @@ def grid_cells(name: str) -> list[tuple[tuple[int, ...], int, int, str]]:
     return cells
 
 
-def report_grid(name: str, jobs: int = 1) -> list[ReportRow]:
-    cells = grid_cells(name)
-
-    def run(cell):
-        blocks, t, s, quantity = cell
+def report_grid(name: str) -> list[ReportRow]:
+    rows = []
+    for blocks, t, s, quantity in grid_cells(name):
         params = _valid_params(blocks, t, s)
-        return _row(blocks, t, s, quantity, lambda: _CELLS[quantity](params))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(cell) for cell in cells]
+        rows.append(_row(blocks, t, s, quantity, lambda: _CELLS[quantity](params)))
     rows.sort(key=ReportRow.sort_key)
     return rows
 

@@ -1,9 +1,14 @@
 """CLI behavior: documents, exit codes, flags."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bitype
 from bitype.cli import main
 
 
@@ -177,6 +182,24 @@ class TestJobs:
             capsys, "gen", "--blocks", "2,2", "--t", "2", "--s", "2", "--jobs", "2"
         )
         assert code == 0 and json.loads(out)["count"] == 4
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # the 678 KB document overflows the pipe, so the write hits the closed end
+        env = dict(os.environ, PYTHONPATH=str(Path(bitype.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bitype", "gen", "--blocks", "33,33", "--t", "2", "--s", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestGraph:

@@ -118,10 +118,6 @@ class TestBettiTable:
         }
         assert swapped == table.entries
 
-    def test_parallel_equals_sequential(self):
-        ideal = bitype_ideal(make_params((2, 2), 4, 2))
-        assert betti_table(ideal, jobs=3).entries == betti_table(ideal).entries
-
     def test_box_guard(self):
         ideal = bitype_ideal(make_params((2, 2), 4, 2))
         with pytest.raises(SizeGuardError):

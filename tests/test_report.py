@@ -47,6 +47,6 @@ def test_csv_shape_and_determinism():
     lines = text.splitlines()
     assert lines[0] == "blocks,t,s,quantity,formula,oracle,agree,status"
     assert len(lines) == len(rows) + 1
-    assert rows_to_csv(report_grid("small", jobs=2)) == text
+    assert rows_to_csv(report_grid("small")) == text
     timed = rows_to_csv(rows, timings=True)
     assert timed.splitlines()[0].endswith(",millis")

@@ -277,9 +277,3 @@ class TestEvidence:
         assert evidence.passed
         assert evidence.violations == []
         assert set(evidence.fibers_checked) == {2, 3}
-
-    def test_parallel_matches_sequential(self):
-        pres = ToricPresentation(bitype_ideal(make_params((2, 2), 4, 2)))
-        seq = quadratic_gb_evidence(pres)
-        par = quadratic_gb_evidence(pres, jobs=3)
-        assert seq.to_dict() == par.to_dict()
