@@ -8,13 +8,12 @@ the closed form entirely: it colons the ideal by every monomial below the
 generator lcm and keeps the monomial primes that appear.
 """
 
-import math
 import os
 from itertools import combinations
 
 from .builders import IdealParameters, bitype_ideal
 from .core import Monomial, MonomialIdeal, PrimeSupport
-from .errors import ParameterRangeError, SizeGuardError
+from .errors import ParameterRangeError
 
 DEFAULT_WITNESS_BOX = int(os.environ.get("BITYPE_MAX_WITNESS_BOX", str(1 << 20)))
 
@@ -77,10 +76,7 @@ def associated_primes_oracle(
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("associated primes need a nonzero, proper ideal")
     cap = DEFAULT_WITNESS_BOX if box_cap is None else box_cap
-    bounds = ideal.lcm_of_generators().entries
-    size = math.prod(b + 1 for b in bounds)
-    if size > cap:
-        raise SizeGuardError(f"witness box of size {size} exceeds cap {cap}")
+    bounds = ideal.lcm_box(cap, "witness")
     raw = ideal._table.ass_scan(bounds)
     out: dict[PrimeSupport, Monomial] = {}
     for mask in sorted(raw, key=lambda m: (bin(m).count("1"), _mask_bits(m))):

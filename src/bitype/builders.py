@@ -91,7 +91,8 @@ def veronese_type_ideal(blocks: BlockStructure, block_index: int, degree: int, c
         entries = [0] * big_n
         entries[offset:offset + m] = comp
         gens.append(Monomial(blocks, tuple(entries)))
-    return MonomialIdeal.from_generators(blocks, gens)
+    # distinct vectors of one degree in lexicographic order: already canonical
+    return MonomialIdeal(blocks, tuple(gens))
 
 
 def bitype_ideal(params: IdealParameters) -> MonomialIdeal:

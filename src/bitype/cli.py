@@ -33,6 +33,10 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _params(args):
+    return make_params(_parse_blocks(args.blocks), args.t, args.s)
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -52,7 +56,7 @@ def _emit(doc, human_lines=None, human=False):
 
 
 def _cmd_gen(args) -> int:
-    params = make_params(_parse_blocks(args.blocks), args.t, args.s)
+    params = _params(args)
     build = bitype_ideal_by_compositions if args.by_compositions else bitype_ideal
     ideal = build(params)
     doc = ideal.to_dict()
@@ -71,7 +75,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    params = make_params(_parse_blocks(args.blocks), args.t, args.s)
+    params = _params(args)
     ideal = bitype_ideal(params)
     covers_list = covers.minimal_vertex_covers(ideal, args.max_cover_vars)
     cover_sizes = {len(w) for w in covers_list}
@@ -109,7 +113,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_ass(args) -> int:
-    params = make_params(_parse_blocks(args.blocks), args.t, args.s)
+    params = _params(args)
     formula = None
     try:
         formula = assoc.associated_primes_formula(params)
@@ -118,10 +122,8 @@ def _cmd_ass(args) -> int:
             raise
     doc = {"blocks": list(params.blocks.block_sizes), "t": args.t, "s": args.s}
     doc["formula"] = [list(p.names()) for p in formula] if formula is not None else None
-    oracle = None
-    if args.oracle or (args.witnesses and formula is None):
-        oracle = assoc.associated_primes_oracle(bitype_ideal(params), args.max_witness_box)
     if args.oracle:
+        oracle = assoc.associated_primes_oracle(bitype_ideal(params), args.max_witness_box)
         doc["oracle"] = [list(p.names()) for p in oracle]
         if formula is not None:
             doc["agree"] = {p.indices for p in formula} == {p.indices for p in oracle}
@@ -142,7 +144,7 @@ def _cmd_ass(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    params = make_params(_parse_blocks(args.blocks), args.t, args.s)
+    params = _params(args)
     ideal = bitype_ideal(params)
     table = homology.betti_table(ideal, args.max_box)
     doc = table.to_dict()
@@ -164,7 +166,7 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_sort_check(args) -> int:
-    params = make_params(_parse_blocks(args.blocks), args.t, args.s)
+    params = _params(args)
     violation = sorting.sortable_violation(params)
     doc = {
         "blocks": list(params.blocks.block_sizes),

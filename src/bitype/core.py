@@ -9,11 +9,12 @@ that equality, hashing, JSON output and golden-file diffs are deterministic.
 All values are immutable after construction and all operations are pure.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .errors import ParameterRangeError, StructureError
+from .errors import ParameterRangeError, SizeGuardError, StructureError
 from . import kernels
 
 
@@ -67,9 +68,6 @@ class BlockStructure:
         i = self.block_of(k)
         return f"x{i + 1}{k - self.offsets[i] + 1}"
 
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(self.var_name(k) for k in range(self.n_vars))
-
 
 def _require_same_structure(a, b):
     if a.blocks != b.blocks:
@@ -99,12 +97,6 @@ class Monomial:
     def unit(cls, blocks: BlockStructure) -> "Monomial":
         return cls(blocks, (0,) * blocks.n_vars)
 
-    @classmethod
-    def variable(cls, blocks: BlockStructure, k: int) -> "Monomial":
-        e = [0] * blocks.n_vars
-        e[k] = 1
-        return cls(blocks, tuple(e))
-
     @property
     def total_degree(self) -> int:
         return sum(self.entries)
@@ -124,12 +116,6 @@ class Monomial:
         _require_same_structure(self, other)
         return Monomial(
             self.blocks, tuple(max(a, b) for a, b in zip(self.entries, other.entries))
-        )
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _require_same_structure(self, other)
-        return Monomial(
-            self.blocks, tuple(min(a, b) for a, b in zip(self.entries, other.entries))
         )
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -170,10 +156,6 @@ class PrimeSupport:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.blocks.var_name(k) for k in self.sorted_indices())
-
-    def to_ideal(self) -> "MonomialIdeal":
-        gens = [Monomial.variable(self.blocks, k) for k in self.sorted_indices()]
-        return MonomialIdeal.from_generators(self.blocks, gens)
 
     def __repr__(self):
         return f"PrimeSupport({', '.join(self.names())})"
@@ -258,10 +240,16 @@ class MonomialIdeal:
     def lcm_of_generators(self) -> Monomial:
         if self.is_zero:
             return Monomial.unit(self.blocks)
-        out = self.gens[0]
-        for g in self.gens[1:]:
-            out = out.lcm(g)
-        return out
+        columns = zip(*(g.entries for g in self.gens))
+        return Monomial(self.blocks, tuple(map(max, columns)))
+
+    def lcm_box(self, cap: int, name: str) -> tuple[int, ...]:
+        """The lcm's entries, once the box of multidegrees below it fits the cap."""
+        bounds = self.lcm_of_generators().entries
+        size = math.prod(b + 1 for b in bounds)
+        if size > cap:
+            raise SizeGuardError(f"{name} box of size {size} exceeds cap {cap}")
+        return bounds
 
     def as_prime_support(self) -> PrimeSupport | None:
         """The PrimeSupport if every generator is a single variable, else None."""

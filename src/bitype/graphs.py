@@ -132,7 +132,8 @@ def generalized_graph_ideal(
     if t < 3:
         raise ParameterRangeError("walk ideals start at degree 3; use edge_ideal for degree 2")
     vectors = walk_exponent_vectors(graph, t - 1, ordered=ordered, span_blocks=span_blocks)
-    return MonomialIdeal.from_generators(graph.blocks, vectors)
+    # distinct vectors of one degree in lexicographic order: already canonical
+    return MonomialIdeal(graph.blocks, tuple(vectors))
 
 
 def edge_ideal(graph: LoopGraph) -> MonomialIdeal:

@@ -11,13 +11,12 @@ Ranks are computed exactly over the rationals (integer fraction-free
 elimination); no floating point anywhere.
 """
 
-import math
 import os
 from dataclasses import dataclass
 from itertools import product
 
 from .core import Monomial, MonomialIdeal
-from .errors import ParameterRangeError, SizeGuardError
+from .errors import ParameterRangeError
 from . import kernels
 
 DEFAULT_BOX_CAP = int(os.environ.get("BITYPE_MAX_BOX", "4096"))
@@ -190,10 +189,7 @@ def betti_table(ideal: MonomialIdeal, box_cap: int | None = None) -> BettiTable:
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("Betti oracle needs a nonzero, proper ideal")
     cap = DEFAULT_BOX_CAP if box_cap is None else box_cap
-    bounds = ideal.lcm_of_generators().entries
-    size = math.prod(b + 1 for b in bounds)
-    if size > cap:
-        raise SizeGuardError(f"multidegree box of size {size} exceeds cap {cap}")
+    bounds = ideal.lcm_box(cap, "multidegree")
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for a in product(*(range(b + 1) for b in bounds)):
         for i, a_, rank in _betti_at(ideal, a):

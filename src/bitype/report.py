@@ -9,6 +9,7 @@ identical invocations produce byte-identical documents.
 
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product as iproduct
 
 from . import assoc, covers, homology, sorting
@@ -60,38 +61,33 @@ def _row(blocks, t, s, quantity, fn) -> ReportRow:
     return ReportRow(tuple(blocks), t, s, quantity, formula, oracle, agree, status, millis)
 
 
-def _regularity_cell(params: IdealParameters):
-    ideal = bitype_ideal(params)
-    return covers.regularity_formula(params), homology.regularity_oracle(ideal)
+def _regularity_cell(params: IdealParameters, ideal):
+    return covers.regularity_formula(params), homology.regularity_oracle(ideal())
 
 
-def _dim_cell(params: IdealParameters):
-    ideal = bitype_ideal(params)
-    return covers.dim_formula(params), covers.dim_oracle(ideal)
+def _dim_cell(params: IdealParameters, ideal):
+    return covers.dim_formula(params), covers.dim_oracle(ideal())
 
 
-def _unmixed_cell(params: IdealParameters):
-    ideal = bitype_ideal(params)
-    return covers.unmixed_formula(params), covers.is_unmixed(ideal)
+def _unmixed_cell(params: IdealParameters, ideal):
+    return covers.unmixed_formula(params), covers.is_unmixed(ideal())
 
 
-def _ass_cell(params: IdealParameters):
+def _ass_cell(params: IdealParameters, ideal):
     formula = {p.indices for p in assoc.associated_primes_formula(params)}
-    oracle = {
-        p.indices for p in assoc.associated_primes_oracle(bitype_ideal(params))
-    }
+    oracle = {p.indices for p in assoc.associated_primes_oracle(ideal())}
     # counts are shown; agreement is set equality
     return len(formula), len(oracle), formula == oracle
 
 
-def _sortable_cell(params: IdealParameters):
+def _sortable_cell(params: IdealParameters, ideal):
     return True, sorting.sortable_violation(params) is None
 
 
-def _graph_cell(params: IdealParameters):
+def _graph_cell(params: IdealParameters, ideal):
     graph = strong_block_graph(params.blocks, "all")
     walk = generalized_graph_ideal(graph, params.t)
-    direct = bitype_ideal(params)
+    direct = ideal()
     return len(direct), len(walk), walk == direct
 
 
@@ -178,10 +174,23 @@ def grid_cells(name: str) -> list[tuple[tuple[int, ...], int, int, str]]:
 
 
 def report_grid(name: str) -> list[ReportRow]:
-    rows = []
+    """Every cell of the grid, one ideal per (blocks, t, s) at most.
+
+    Cells receive the ideal as a zero-argument callable that builds it on
+    first use, so a triple whose cells never ask for it (sortability works
+    from the parameters alone) builds none.
+    """
+    triples: dict[tuple[tuple[int, ...], int, int], list[str]] = {}
     for blocks, t, s, quantity in grid_cells(name):
-        params = _valid_params(blocks, t, s)
-        rows.append(_row(blocks, t, s, quantity, lambda: _CELLS[quantity](params)))
+        triples.setdefault((blocks, t, s), []).append(quantity)
+    rows = []
+    for (blocks, t, s), quantities in triples.items():
+        params = make_params(blocks, t, s)
+        ideal = cache(partial(bitype_ideal, params))
+        for quantity in quantities:
+            rows.append(
+                _row(blocks, t, s, quantity, lambda: _CELLS[quantity](params, ideal))
+            )
     rows.sort(key=ReportRow.sort_key)
     return rows
 

@@ -6,6 +6,7 @@ import pytest
 
 from bitype import (
     BlockStructure,
+    MonomialIdeal,
     ParameterRangeError,
     bitype_ideal,
     bitype_ideal_by_compositions,
@@ -32,6 +33,18 @@ class TestVeroneseType:
     def test_degree_out_of_range(self, b22):
         with pytest.raises(ParameterRangeError):
             veronese_type_ideal(b22, 0, 5, 2)
+
+    def test_generators_are_already_canonical(self):
+        # the builder skips minimalization; it must not need it
+        shapes = [shape for n in (1, 2, 3) for shape in product((1, 2, 3), repeat=n)]
+        for shape in shapes:
+            blocks = BlockStructure(shape)
+            for i, m in enumerate(shape):
+                for cap in (1, 2, 3):
+                    for degree in range(1, cap * m + 1):
+                        ideal = veronese_type_ideal(blocks, i, degree, cap)
+                        canonical = MonomialIdeal.from_generators(blocks, ideal.gens)
+                        assert ideal == canonical, (shape, i, degree, cap)
 
 
 class TestGoldenSets:

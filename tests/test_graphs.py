@@ -4,7 +4,13 @@ from itertools import product
 
 import pytest
 
-from bitype import BlockStructure, ParameterRangeError, bitype_ideal, make_params
+from bitype import (
+    BlockStructure,
+    MonomialIdeal,
+    ParameterRangeError,
+    bitype_ideal,
+    make_params,
+)
 from bitype.graphs import (
     edge_ideal,
     generalized_graph_ideal,
@@ -110,6 +116,27 @@ class TestGraphIdeals:
         walk = generalized_graph_ideal(strong_block_graph(blocks), 4)
         direct = bitype_ideal(make_params((3, 1), 4, 2))
         assert gen_set(direct) - gen_set(walk) == {(1, 1, 1, 1)}
+
+    def test_generators_are_already_canonical(self):
+        # the builder skips minimalization; it must not need it.  Shapes with
+        # more than six variables are left out to keep the suite fast.
+        shapes = [
+            shape
+            for n in (1, 2, 3)
+            for shape in product((1, 2, 3), repeat=n)
+            if sum(shape) <= 6
+        ]
+        for shape in shapes:
+            blocks = BlockStructure(shape)
+            for mode in ("all", "consecutive"):
+                graph = strong_block_graph(blocks, mode)
+                for t in range(3, 2 * sum(shape) + 1):
+                    for ordered, span in product((False, True), repeat=2):
+                        ideal = generalized_graph_ideal(
+                            graph, t, ordered=ordered, span_blocks=span
+                        )
+                        canonical = MonomialIdeal.from_generators(blocks, ideal.gens)
+                        assert ideal == canonical, (shape, mode, t, ordered, span)
 
     def test_walk_ideal_always_inside_the_capped_ideal(self):
         # the shortfall is one-sided: every walk multidegree is a generator

@@ -1,8 +1,10 @@
 """Grid report: row structure, canonical order, disagreement handling."""
 
+import hashlib
+
 import pytest
 
-from bitype import ParameterRangeError
+from bitype import ParameterRangeError, bitype_ideal, report
 from bitype.report import (
     ReportRow,
     disagreements,
@@ -50,3 +52,25 @@ def test_csv_shape_and_determinism():
     assert rows_to_csv(report_grid("small")) == text
     timed = rows_to_csv(rows, timings=True)
     assert timed.splitlines()[0].endswith(",millis")
+
+
+def test_small_grid_csv_is_pinned():
+    text = rows_to_csv(report_grid("small"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "1285b0bbb7ffb9c409ffecf997590ee5f5ba4e1b88b39142ccd2cd47584e919e"
+
+
+def test_each_triple_builds_its_ideal_at_most_once(monkeypatch):
+    built = []
+
+    def counting(params):
+        built.append((params.blocks.block_sizes, params.t, params.s))
+        return bitype_ideal(params)
+
+    monkeypatch.setattr(report, "bitype_ideal", counting)
+    report_grid("small")
+    cells = grid_cells("small")
+    needing = {(b, t, s) for b, t, s, q in cells if q != "sortable"}
+    sortable_only = {(b, t, s) for b, t, s, _ in cells} - needing
+    assert sortable_only  # the grid exercises the never-built case
+    assert sorted(built) == sorted(needing)
