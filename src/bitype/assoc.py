@@ -8,14 +8,13 @@ the closed form entirely: it colons the ideal by every monomial below the
 generator lcm and keeps the monomial primes that appear.
 """
 
-import os
 from itertools import combinations
 
 from .builders import IdealParameters, bitype_ideal
-from .core import Monomial, MonomialIdeal, PrimeSupport
+from .core import Monomial, MonomialIdeal, PrimeSupport, guard_cap
 from .errors import ParameterRangeError
 
-DEFAULT_WITNESS_BOX = int(os.environ.get("BITYPE_MAX_WITNESS_BOX", str(1 << 20)))
+DEFAULT_WITNESS_BOX = 1 << 20
 
 
 def _max_support(params: IdealParameters) -> int:
@@ -75,7 +74,7 @@ def associated_primes_oracle(
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("associated primes need a nonzero, proper ideal")
-    cap = DEFAULT_WITNESS_BOX if box_cap is None else box_cap
+    cap = guard_cap(box_cap, "BITYPE_MAX_WITNESS_BOX", DEFAULT_WITNESS_BOX)
     bounds = ideal.lcm_box(cap, "witness")
     raw = ideal._table.ass_scan(bounds)
     out: dict[PrimeSupport, Monomial] = {}

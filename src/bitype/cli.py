@@ -227,8 +227,11 @@ def _cmd_graph(args) -> int:
         "equalsLStar": equals,
     }
     if args.dot:
-        with open(args.dot, "w") as handle:
-            handle.write(to_dot(graph))
+        try:
+            with open(args.dot, "w") as handle:
+                handle.write(to_dot(graph))
+        except OSError as exc:
+            raise ParameterRangeError(f"cannot write {args.dot!r}: {exc.strerror}") from None
     human = [
         f"edges: {len(doc['edges'])}",
         f"generators: {len(doc['generators'])}",
@@ -323,15 +326,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(kind: str, message: str) -> None:
+    print(json.dumps({"error": {"type": kind, "message": message}}, sort_keys=True))
+
+
 def _run(args) -> int:
     try:
         return args.fn(args)
     except SizeGuardError as exc:
-        print(json.dumps({"error": {"type": "guard", "message": str(exc)}}, sort_keys=True))
+        _error("guard", str(exc))
         return EXIT_GUARD
     except BitypeError as exc:
-        print(json.dumps({"error": {"type": "range", "message": str(exc)}}, sort_keys=True))
+        _error("range", str(exc))
         return EXIT_RANGE
+    except RecursionError:
+        # the composition enumeration and the sortability search recurse
+        # once per variable, so very wide block structures run out of stack
+        where = ""
+        if hasattr(args, "blocks"):  # every command but report
+            where = f" over {sum(_parse_blocks(args.blocks))} variables"
+        _error("guard", f"enumeration{where} exceeds the recursion limit {sys.getrecursionlimit()}")
+        return EXIT_GUARD
 
 
 def main(argv=None) -> int:

@@ -10,12 +10,30 @@ All values are immutable after construction and all operations are pure.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 from .errors import ParameterRangeError, SizeGuardError, StructureError
 from . import kernels
+
+
+def guard_cap(value: int | None, env_var: str, default: int) -> int:
+    """A size guard's cap: the explicit value, else the environment variable, else the default.
+
+    The variable is read when the guard is resolved, not at import, so a
+    non-integer value is a ParameterRangeError and not an import failure.
+    """
+    if value is not None:
+        return value
+    raw = os.environ.get(env_var)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterRangeError(f"{env_var} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,11 @@ low-degree regime and N - 1 in the top regime t = s*N - r, r = 1..s-1; the
 oracle route is exhaustive cover enumeration, dim = N - h.
 """
 
-import os
-
 from .builders import IdealParameters
-from .core import MonomialIdeal
+from .core import MonomialIdeal, guard_cap
 from .errors import ParameterRangeError, SizeGuardError
 
-DEFAULT_COVER_VARS = int(os.environ.get("BITYPE_MAX_COVER_VARS", "20"))
+DEFAULT_COVER_VARS = 20
 
 
 def _support_masks(ideal: MonomialIdeal) -> list[int]:
@@ -47,7 +45,7 @@ def minimal_vertex_covers(ideal: MonomialIdeal, max_vars: int | None = None) -> 
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("vertex covers need a nonzero, proper ideal")
-    cap = DEFAULT_COVER_VARS if max_vars is None else max_vars
+    cap = guard_cap(max_vars, "BITYPE_MAX_COVER_VARS", DEFAULT_COVER_VARS)
     masks = _support_masks(ideal)
     union = 0
     for m in masks:

@@ -11,15 +11,14 @@ Ranks are computed exactly over the rationals (integer fraction-free
 elimination); no floating point anywhere.
 """
 
-import os
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Monomial, MonomialIdeal
+from .core import Monomial, MonomialIdeal, guard_cap
 from .errors import ParameterRangeError
 from . import kernels
 
-DEFAULT_BOX_CAP = int(os.environ.get("BITYPE_MAX_BOX", "4096"))
+DEFAULT_BOX_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def betti_table(ideal: MonomialIdeal, box_cap: int | None = None) -> BettiTable:
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("Betti oracle needs a nonzero, proper ideal")
-    cap = DEFAULT_BOX_CAP if box_cap is None else box_cap
+    cap = guard_cap(box_cap, "BITYPE_MAX_BOX", DEFAULT_BOX_CAP)
     bounds = ideal.lcm_box(cap, "multidegree")
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for a in product(*(range(b + 1) for b in bounds)):

@@ -9,32 +9,36 @@ The toric side: indeterminates t_1..t_p map onto the generators, and the
 kernel of that map pairs multisets of generators with equal exponent sums
 (fibers).  Each unsorted pair contributes the quadratic relation sending it
 to its sorted image.  Evidence that these quadratic relations define the
-kernel is gathered per fiber: connectivity under single sorting moves and
-a unique normal form under directed rewriting.
+kernel is gathered per fiber: directed rewriting terminates and reaches a
+unique normal form, which also makes the fiber connected under single
+sorting moves.  Fibers and rewriting work on generator indices and entry
+tuples; no Monomial is built along the way.
 """
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
+from operator import add
 
 from .builders import IdealParameters
-from .core import Monomial, MonomialIdeal, _require_same_structure
+from .core import Monomial, MonomialIdeal, _require_same_structure, guard_cap
 from .errors import ParameterRangeError, RewriteLimitError, SizeGuardError, UnsortableError
 from . import kernels
 
-DEFAULT_REWRITE_CAP = int(os.environ.get("BITYPE_MAX_REWRITE_STEPS", "10000"))
-DEFAULT_PAIR_CAP = int(os.environ.get("BITYPE_MAX_SORT_PAIRS", "4000000"))
+DEFAULT_REWRITE_CAP = 10000
+DEFAULT_PAIR_CAP = 4000000
 
 
 def sort_pair(u: Monomial, v: Monomial) -> tuple[Monomial, Monomial]:
     """Merge-and-interleave the pair; depends only on the exponent sum."""
     _require_same_structure(u, v)
-    if u.total_degree != v.total_degree:
-        raise ParameterRangeError(
-            f"sort needs equal degrees, got {u.total_degree} and {v.total_degree}"
-        )
-    first, second = _split(tuple(a + b for a, b in zip(u.entries, v.entries)))
+    _require_equal_degrees(u.total_degree, v.total_degree)
+    first, second = _split(tuple(map(add, u.entries, v.entries)))
     return Monomial(u.blocks, first), Monomial(u.blocks, second)
+
+
+def _require_equal_degrees(du: int, dv: int) -> None:
+    if du != dv:
+        raise ParameterRangeError(f"sort needs equal degrees, got {du} and {dv}")
 
 
 def _split(c: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -100,24 +104,28 @@ class ToricPresentation:
     """Indeterminate-to-generator bookkeeping for one monomial ideal."""
 
     ideal: MonomialIdeal
+    entries: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     index_of: dict[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "index_of",
-            {g.entries: i for i, g in enumerate(self.ideal.gens)},
-        )
+        entries = tuple(g.entries for g in self.ideal.gens)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "index_of", {e: i for i, e in enumerate(entries)})
 
     @property
     def generators(self) -> tuple[Monomial, ...]:
         return self.ideal.gens
 
     def sorted_indices(self, i: int, j: int) -> tuple[int, int] | None:
-        """Generator indices of the sorted image of (g_i, g_j); None if it leaves the set."""
-        first, second = sort_pair(self.generators[i], self.generators[j])
-        a = self.index_of.get(first.entries)
-        b = self.index_of.get(second.entries)
+        """Generator indices of the sorted image of (g_i, g_j); None if it leaves the set.
+
+        The same image as :func:`sort_pair`, split straight from the entry sum.
+        """
+        u, v = self.entries[i], self.entries[j]
+        _require_equal_degrees(sum(u), sum(v))
+        first, second = _split(tuple(map(add, u, v)))
+        a = self.index_of.get(first)
+        b = self.index_of.get(second)
         if a is None or b is None:
             return None
         return a, b
@@ -126,7 +134,7 @@ class ToricPresentation:
 def sorting_relations(pres: ToricPresentation, pair_cap: int | None = None) -> list[SortingRelation]:
     """One relation per unsorted unordered pair of generators, in canonical order."""
     gens = pres.generators
-    cap = DEFAULT_PAIR_CAP if pair_cap is None else pair_cap
+    cap = guard_cap(pair_cap, "BITYPE_MAX_SORT_PAIRS", DEFAULT_PAIR_CAP)
     n_pairs = len(gens) * (len(gens) + 1) // 2
     if n_pairs > cap:
         raise SizeGuardError(f"{n_pairs} generator pairs exceed the cap {cap}")
@@ -149,20 +157,16 @@ def fibers_of_degree(pres: ToricPresentation, d: int, multiset_cap: int = 200000
     """Group all degree-d generator multisets by their exponent sum."""
     if d < 1:
         raise ParameterRangeError("fiber degree must be positive")
-    gens = pres.generators
+    entries = pres.entries
     total = 1
     for k in range(d):
-        total = total * (len(gens) + k) // (k + 1)
+        total = total * (len(entries) + k) // (k + 1)
     if total > multiset_cap:
         raise SizeGuardError(f"{total} degree-{d} multisets exceed the cap {multiset_cap}")
-    width = pres.ideal.blocks.n_vars
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for combo in combinations_with_replacement(range(len(gens)), d):
-        target = [0] * width
-        for idx in combo:
-            for k, e in enumerate(gens[idx].entries):
-                target[k] += e
-        fibers.setdefault(tuple(target), []).append(combo)
+    for combo in combinations_with_replacement(range(len(entries)), d):
+        target = tuple(map(sum, zip(*(entries[idx] for idx in combo))))
+        fibers.setdefault(target, []).append(combo)
     return fibers
 
 
@@ -180,7 +184,7 @@ def normal_form(
     collecting evidence treat that as a falsifying instance, never as a
     truncation.
     """
-    cap = DEFAULT_REWRITE_CAP if step_cap is None else step_cap
+    cap = guard_cap(step_cap, "BITYPE_MAX_REWRITE_STEPS", DEFAULT_REWRITE_CAP)
     state = tuple(sorted(multiset))
     seen = {state}
     for _ in range(cap):
@@ -194,22 +198,6 @@ def normal_form(
     raise RewriteLimitError(f"rewriting exceeded {cap} steps from {tuple(sorted(multiset))}")
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _single_moves(pres: ToricPresentation, multiset: tuple[int, ...]):
     """All multisets reachable by sorting one pair inside the multiset."""
     for a, b in combinations(range(len(multiset)), 2):
@@ -217,7 +205,7 @@ def _single_moves(pres: ToricPresentation, multiset: tuple[int, ...]):
         image = pres.sorted_indices(i, j)
         if image is None:
             raise UnsortableError("presentation is not sortable")
-        if tuple(sorted(image)) != tuple(sorted((i, j))):
+        if tuple(sorted(image)) != (i, j):  # i <= j in a sorted multiset
             rest = list(multiset)
             del rest[b]
             del rest[a]
@@ -248,37 +236,29 @@ class GBEvidence:
 
 
 def _check_fiber(pres, degree, target, members, step_cap):
-    """Connectivity, confluence and termination for a single fiber."""
-    violations = []
-    if len(members) > 1:
-        uf = _UnionFind(members)
-        member_set = set(members)
-        for m in members:
-            for nxt in _single_moves(pres, m):
-                if nxt in member_set:
-                    uf.union(m, nxt)
-        roots = {uf.find(m) for m in members}
-        if len(roots) > 1:
-            violations.append(
-                {"kind": "disconnected-fiber", "degree": degree, "target": list(target),
-                 "components": len(roots)}
-            )
+    """Termination and a unique normal form for a single fiber.
+
+    Connectivity needs no pass of its own.  :func:`normal_form` takes each
+    member to its form by single sorting moves, and a move keeps the
+    exponent sum, so every step stays inside the fiber.  When all members
+    share one form, each is joined to that form by moves within the fiber,
+    so the fiber is connected.
+    """
     forms = set()
     for m in members:
         try:
             forms.add(normal_form(pres, m, step_cap))
         except RewriteLimitError as exc:
-            violations.append(
+            return [
                 {"kind": "nontermination", "degree": degree, "target": list(target),
                  "detail": str(exc)}
-            )
-            return violations
+            ]
     if len(forms) > 1:
-        violations.append(
+        return [
             {"kind": "normal-form-mismatch", "degree": degree, "target": list(target),
              "forms": sorted(map(list, forms))}
-        )
-    return violations
+        ]
+    return []
 
 
 def quadratic_gb_evidence(
@@ -288,13 +268,15 @@ def quadratic_gb_evidence(
 ) -> GBEvidence:
     """Fiber-by-fiber evidence that sorting relations define the kernel.
 
-    For every fiber in degrees 2..max_degree: (i) the fiber is connected
-    under single sorting moves, (ii) directed rewriting reaches one normal
-    form from every member, (iii) rewriting terminates within the cap.
-    Fibers are checked one at a time, in degree order and then by target.
-    Violations are data, not exceptions.
+    For every fiber in degrees 2..max_degree: (i) rewriting terminates
+    within the cap, and (ii) directed rewriting reaches one normal form from
+    every member.  Together these make the fiber connected under single
+    sorting moves, so connectivity is not checked separately (see
+    :func:`_check_fiber`).  Fibers are checked one at a time, in degree
+    order and then by target.  Violations are data, not exceptions.
     """
     relations = sorting_relations(pres)  # raises UnsortableError on bad input
+    step_cap = guard_cap(step_cap, "BITYPE_MAX_REWRITE_STEPS", DEFAULT_REWRITE_CAP)
     # every degree is grouped before any check, so a multiset guard trips first
     fibers = {d: fibers_of_degree(pres, d) for d in range(2, max_degree + 1)}
     violations: list[dict] = []

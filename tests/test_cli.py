@@ -1,5 +1,7 @@
 """CLI behavior: documents, exit codes, flags."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitype
 from bitype.cli import main
@@ -16,6 +19,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv, **env):
+    """``python -m bitype`` in a fresh interpreter, with extra environment variables."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bitype.__file__).parents[1]), **env)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bitype", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestGen:
@@ -233,6 +245,14 @@ class TestGraph:
         code, out, _ = run(capsys, "graph", "--blocks", "2,2", "--t", "2")
         assert code == 3
 
+    def test_unwritable_dot_path_is_a_range_error(self, tmp_path):
+        target = tmp_path / "missing" / "g.dot"
+        code, out, err = run_process("graph", "--blocks", "2,2", "--t", "4", "--dot", str(target))
+        assert code == 3 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "range" and str(target) in error["message"]
+        assert not target.exists()
+
 
 class TestReport:
     def test_small_grid_csv(self, capsys):
@@ -277,3 +297,101 @@ class TestGraphModes:
         assert code == 0
         # spanning walks in consecutive mode still realize the eight generators
         assert len(doc["generators"]) == 8 and doc["equalsLStar"] is True
+
+
+class TestGuardEnvironment:
+    def test_non_integer_cap_is_a_range_error_where_it_is_used(self):
+        code, out, err = run_process(
+            "betti", "--blocks", "2,2", "--t", "2", "--s", "2", BITYPE_MAX_BOX="abc"
+        )
+        assert code == 3 and "Traceback" not in err
+        assert json.loads(out)["error"]["message"] == "BITYPE_MAX_BOX must be an integer, got 'abc'"
+        # gen reads no guard, so the bad value does not concern it
+        code, out, err = run_process(
+            "gen", "--blocks", "2,2", "--t", "4", "--s", "2", BITYPE_MAX_BOX="abc"
+        )
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["count"] == 17
+
+    def test_integer_cap_is_honoured(self):
+        code, out, _ = run_process(
+            "betti", "--blocks", "2,2", "--t", "4", "--s", "2", BITYPE_MAX_BOX="3"
+        )
+        assert code == 4 and "exceeds cap 3" in json.loads(out)["error"]["message"]
+
+
+class TestRecursionLimit:
+    @pytest.mark.parametrize(
+        "argv,n_vars",
+        [
+            (("gen", "--blocks", "700,700", "--t", "2", "--s", "1"), 1400),
+            (("sort-check", "--blocks", "600,600", "--t", "2", "--s", "1"), 1200),
+        ],
+        ids=["gen", "sort-check"],
+    )
+    def test_wide_blocks_trip_a_guard(self, argv, n_vars):
+        code, out, err = run_process(*argv)
+        assert code == 4 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "guard"
+        assert f"{n_vars} variables" in error["message"]
+
+
+_GUARD_FLAGS = {
+    "invariants": ("--max-cover-vars", 9),
+    "ass": ("--max-witness-box", 512),
+    "betti": ("--max-box", 256),
+    "sort-check": ("--max-pairs", 200),
+}
+_SWITCHES = {
+    "gen": ("--by-compositions",),
+    "ass": ("--oracle", "--witnesses"),
+    "sort-check": ("--gb-evidence",),
+    "graph": ("--ordered", "--no-span", "--edge-ideal"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """Small invocations of every subcommand except report; about a quarter invalid."""
+    command = draw(st.sampled_from(["gen", "invariants", "ass", "betti", "sort-check", "graph"]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    s = draw(st.integers(1, 2))
+    t_lo = max(len(sizes), s, 3 if command == "graph" else 2)
+    t_hi = 6 if command == "graph" else min(s * sum(sizes), 4)
+    t = draw(st.integers(t_lo, max(t_lo, t_hi)))
+    blocks = ",".join(map(str, sizes))
+    # spoil at most one value, so every command also meets its range errors
+    spoil = draw(st.sampled_from([None, None, None, "blocks", "t", "s"]))
+    if spoil == "blocks":
+        blocks = draw(st.sampled_from(["", "x", "2,,2", "0", "2,-1"]))
+    elif spoil == "t":
+        t = draw(st.integers(-1, 1))
+    elif spoil == "s":
+        s = draw(st.sampled_from([-1, 0, t + 1]))
+    argv = [command, "--blocks", blocks, "--t", str(t)]
+    if command == "graph":
+        argv += ["--mode", draw(st.sampled_from(["all", "consecutive"]))]
+    else:
+        argv += ["--s", str(s)]
+    if command in _GUARD_FLAGS:
+        flag, top = _GUARD_FLAGS[command]
+        argv += [flag, str(draw(st.integers(-1, top)))]
+    argv += [flag for flag in _SWITCHES.get(command, ()) if draw(st.booleans())]
+    if "--gb-evidence" in argv:
+        argv += ["--max-degree", str(draw(st.integers(-1, 2)))]
+    if draw(st.booleans()):
+        argv.append("--human")
+    return argv
+
+
+class TestFuzz:
+    @given(cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_documented_exit_code_and_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        if code in (3, 4) or (code == 0 and "--human" not in argv):
+            json.loads(out.getvalue())

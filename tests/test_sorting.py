@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bitype import (
     BlockStructure,
     Monomial,
+    MonomialIdeal,
     ParameterRangeError,
     UnsortableError,
     bitype_ideal,
@@ -277,3 +278,66 @@ class TestEvidence:
         assert evidence.passed
         assert evidence.violations == []
         assert set(evidence.fibers_checked) == {2, 3}
+
+
+CRITERION_7 = [((2, 2), 2, 2), ((2, 2), 4, 2), ((2, 2, 2), 3, 2), ((2, 2), 11, 3)]
+
+
+class TestSortedIndices:
+    @pytest.mark.parametrize("blocks,t,s", CRITERION_7)
+    def test_matches_sort_pair(self, blocks, t, s):
+        pres = ToricPresentation(bitype_ideal(make_params(blocks, t, s)))
+        gens = pres.generators
+        for i, j in product(range(len(gens)), repeat=2):
+            first, second = sort_pair(gens[i], gens[j])
+            expected = (pres.index_of[first.entries], pres.index_of[second.entries])
+            assert pres.sorted_indices(i, j) == expected, (i, j)
+
+    def test_unequal_degrees_refused(self, b22):
+        ideal = MonomialIdeal.from_generators(b22, [mono(b22, 1, 0, 0, 0), mono(b22, 0, 1, 1, 0)])
+        with pytest.raises(ParameterRangeError, match="sort needs equal degrees") as expected:
+            sort_pair(*ideal.gens)
+        with pytest.raises(ParameterRangeError) as got:
+            ToricPresentation(ideal).sorted_indices(0, 1)
+        assert str(got.value) == str(expected.value)
+
+    def test_image_outside_the_set(self):
+        blocks = BlockStructure((2,))
+        pres = ToricPresentation(
+            MonomialIdeal.from_generators(blocks, [Monomial(blocks, (2, 0)), Monomial(blocks, (0, 2))])
+        )
+        assert pres.sorted_indices(0, 1) is None
+
+
+class TestEvidenceMutations:
+    """The fiber checks fail when the sort is wrong; (2,2), t=2, s=2 throughout."""
+
+    @pytest.fixture
+    def pres(self):
+        return ToricPresentation(bitype_ideal(make_params((2, 2), 2, 2)))
+
+    def test_no_moves_gives_one_form_per_member(self, pres, monkeypatch):
+        monkeypatch.setattr(ToricPresentation, "sorted_indices", lambda self, i, j: (i, j))
+        evidence = quadratic_gb_evidence(pres)
+        shared = [
+            (d, list(target))
+            for d in (2, 3)
+            for target, members in sorted(fibers_of_degree(pres, d).items())
+            if len(members) > 1
+        ]
+        assert shared
+        assert [(v["degree"], v["target"]) for v in evidence.violations] == shared
+        assert {v["kind"] for v in evidence.violations} == {"normal-form-mismatch"}
+        assert not evidence.passed
+
+    def test_two_cycle_is_nontermination(self, pres, monkeypatch):
+        cycle = {(1, 2): (0, 3), (0, 3): (1, 2)}
+        monkeypatch.setattr(
+            ToricPresentation, "sorted_indices", lambda self, i, j: cycle.get((i, j), (i, j))
+        )
+        evidence = quadratic_gb_evidence(pres)
+        kinds = {v["kind"] for v in evidence.violations}
+        assert "nontermination" in kinds
+        assert {"kind": "nontermination", "degree": 2, "target": [1, 1, 1, 1],
+                "detail": "rewriting cycled at (1, 2) -> (0, 3)"} in evidence.violations
+        assert not evidence.passed
