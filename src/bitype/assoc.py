@@ -4,14 +4,25 @@ For t = s*N - r with r in 1..s-1 the associated primes of the quotient are
 exactly the monomial primes on at most r+1 variables.  Each such support F
 has an explicit witness monomial of degree t-1 (cap s off F, capped
 remainder on F) whose colon recovers the prime.  The oracle route ignores
-the closed form entirely: it colons the ideal by every monomial below the
-generator lcm and keeps the monomial primes that appear.
+the closed form entirely: it finds the colon of the ideal by every monomial
+below the generator lcm and keeps the monomial primes that appear.  It
+computes one colon per orbit of the permutations that fix the ideal's
+symmetric runs of variables, and carries each prime to the rest of its
+orbit.
 """
 
 from itertools import combinations
 
 from .builders import IdealParameters, bitype_ideal
-from .core import Monomial, MonomialIdeal, PrimeSupport, guard_cap
+from .core import (
+    Monomial,
+    MonomialIdeal,
+    PrimeSupport,
+    arrangements,
+    guard_cap,
+    run_representatives,
+    symmetric_runs,
+)
 from .errors import ParameterRangeError
 
 DEFAULT_WITNESS_BOX = 1 << 20
@@ -69,14 +80,32 @@ def associated_primes_oracle(
 
     Candidates run over the box below the lcm of the generators, which is
     the standard completeness bound for associated primes of a monomial
-    ideal.  Witnesses are the lexicographically first monomials achieving
-    each prime.
+    ideal.  Permuting the variables of a symmetric run
+    (:func:`core.symmetric_runs`) fixes the ideal, so the colon by a
+    permuted monomial is the permuted colon.  The search therefore colons
+    only the run representatives (entries non-increasing within each run)
+    and maps each prime it finds through every distinct arrangement of its
+    representative.  Witnesses are the lexicographically first monomials
+    achieving each prime, as a scan of the whole box finds them.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("associated primes need a nonzero, proper ideal")
     cap = guard_cap(box_cap, "BITYPE_MAX_WITNESS_BOX", DEFAULT_WITNESS_BOX)
     bounds = ideal.lcm_box(cap, "witness")
-    raw = ideal._table.ass_scan(bounds)
+    runs = symmetric_runs(ideal)
+    table = ideal._table
+    raw: dict[int, tuple[int, ...]] = {}
+    for f in run_representatives(bounds, runs):
+        mask = table.colon_prime_mask(f)
+        if mask < 0:
+            continue
+        for image, source in arrangements(f, runs):
+            image_mask = 0
+            for p, k in enumerate(source):
+                if (mask >> k) & 1:
+                    image_mask |= 1 << p
+            if image_mask not in raw or image < raw[image_mask]:
+                raw[image_mask] = image
     out: dict[PrimeSupport, Monomial] = {}
     for mask in sorted(raw, key=lambda m: (bin(m).count("1"), _mask_bits(m))):
         support = PrimeSupport(ideal.blocks, frozenset(_mask_bits(mask)))

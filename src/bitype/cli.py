@@ -37,14 +37,22 @@ def _params(args):
     return make_params(_parse_blocks(args.blocks), args.t, args.s)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _emit(doc, human_lines=None, human=False):
@@ -286,26 +294,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = add_command("invariants", "covers, dimension, unmixedness, regularity formula")
     common(p_inv)
-    p_inv.add_argument("--max-cover-vars", type=int, default=None, help="cover enumeration guard")
+    p_inv.add_argument("--max-cover-vars", type=_positive_int, default=None, help="cover enumeration guard")
     p_inv.set_defaults(fn=_cmd_invariants)
 
     p_ass = add_command("ass", "associated prime supports")
     common(p_ass)
     p_ass.add_argument("--oracle", action="store_true", help="run the exhaustive colon search too")
     p_ass.add_argument("--witnesses", action="store_true", help="include a witness monomial per support")
-    p_ass.add_argument("--max-witness-box", type=int, default=None, help="witness box guard")
+    p_ass.add_argument("--max-witness-box", type=_positive_int, default=None, help="witness box guard")
     p_ass.set_defaults(fn=_cmd_ass)
 
     p_betti = add_command("betti", "multigraded Betti table and regularity oracle")
     common(p_betti)
-    p_betti.add_argument("--max-box", type=int, default=None, help="multidegree box guard")
+    p_betti.add_argument("--max-box", type=_positive_int, default=None, help="multidegree box guard")
     p_betti.set_defaults(fn=_cmd_betti)
 
     p_sort = add_command("sort-check", "sortability and quadratic relation evidence")
     common(p_sort)
     p_sort.add_argument("--gb-evidence", action="store_true", help="check fibers in degrees 2..max-degree")
-    p_sort.add_argument("--max-degree", type=int, default=3, help="largest fiber degree to check")
-    p_sort.add_argument("--max-pairs", type=int, default=None, help="generator pair guard")
+    p_sort.add_argument("--max-degree", type=_int_at_least(2), default=3, help="largest fiber degree to check")
+    p_sort.add_argument("--max-pairs", type=_positive_int, default=None, help="generator pair guard")
     p_sort.set_defaults(fn=_cmd_sort_check)
 
     p_graph = add_command("graph", "strong block graph and its walk ideal")

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations_with_replacement, product
 
 from .errors import ParameterRangeError, SizeGuardError, StructureError
 from . import kernels
@@ -23,7 +23,8 @@ def guard_cap(value: int | None, env_var: str, default: int) -> int:
     """A size guard's cap: the explicit value, else the environment variable, else the default.
 
     The variable is read when the guard is resolved, not at import, so a
-    non-integer value is a ParameterRangeError and not an import failure.
+    non-integer or non-positive value is a ParameterRangeError and not an
+    import failure.
     """
     if value is not None:
         return value
@@ -31,9 +32,12 @@ def guard_cap(value: int | None, env_var: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ParameterRangeError(f"{env_var} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ParameterRangeError(f"{env_var} must be at least 1, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -315,3 +319,87 @@ def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
     _require_same_structure(left, right)
     prods = [g * h for g in left.gens for h in right.gens]
     return MonomialIdeal.from_generators(left.blocks, prods)
+
+
+def symmetric_runs(ideal: MonomialIdeal) -> list[tuple[int, int]]:
+    """Maximal runs ``(start, stop)`` of consecutive variables the ideal is symmetric in.
+
+    Variables k-1 and k share a run when swapping them maps the generator
+    set onto itself (one set lookup per generator that differs there).
+    Adjacent swaps generate every permutation of a run, so the ideal is
+    fixed by each of them.  The runs of a bi-type ideal are unions of whole
+    blocks; an ideal without symmetry has runs of length one.
+    """
+    rows = [g.entries for g in ideal.gens]
+    gens = set(rows)
+    runs = []
+    start = 0
+    for k in range(1, ideal.blocks.n_vars):
+        for row in rows:
+            if row[k - 1] == row[k]:
+                continue
+            if row[:k - 1] + (row[k], row[k - 1]) + row[k + 1:] not in gens:
+                runs.append((start, k))
+                start = k
+                break
+    runs.append((start, ideal.blocks.n_vars))
+    return runs
+
+
+def run_representatives(bounds: tuple[int, ...], runs: list[tuple[int, int]]):
+    """Points 0 <= a <= bounds whose entries are non-increasing within each run.
+
+    Every point of the box is a rearrangement, within its runs, of exactly
+    one of these.  ``bounds`` must be constant on each run, as the lcm box
+    of a symmetric ideal is.
+    """
+    per_run = [
+        [c[::-1] for c in combinations_with_replacement(range(bounds[start] + 1), stop - start)]
+        for start, stop in runs
+    ]
+    for parts in product(*per_run):
+        yield tuple(chain.from_iterable(parts))
+
+
+def _distinct_permutations(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Each distinct ordering of ``values`` once, in lexicographic order."""
+    a = sorted(values)
+    out = []
+    while True:
+        out.append(tuple(a))
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def arrangements(point: tuple[int, ...], runs: list[tuple[int, int]]):
+    """The distinct rearrangements of ``point`` within each run, with their sources.
+
+    Yields ``(image, source)`` in lexicographic order of ``image``, where
+    ``image[p] == point[source[p]]``.  Equal entries of a run keep their
+    order, so each image comes with one canonical permutation.  Only the
+    distinct arrangements of each run's multiset are built, never all of
+    its permutations.
+    """
+    per_run = []
+    for start, stop in runs:
+        slots: dict[int, list[int]] = {}
+        for k in range(start, stop):
+            slots.setdefault(point[k], []).append(k)
+        options = []
+        for values in _distinct_permutations(point[start:stop]):
+            taken = {v: iter(ks) for v, ks in slots.items()}
+            options.append((values, tuple(next(taken[v]) for v in values)))
+        per_run.append(options)
+    for parts in product(*per_run):
+        yield (
+            tuple(chain.from_iterable(values for values, _ in parts)),
+            tuple(chain.from_iterable(source for _, source in parts)),
+        )

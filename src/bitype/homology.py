@@ -4,17 +4,25 @@ For a monomial ideal I and a multidegree a, the Koszul complex at a has the
 support of a as vertex set and the squarefree vectors w with a - w in I as
 faces.  The rank of its reduced homology in dimension i-1 is the Betti
 number of I in homological degree i and multidegree a; only multidegrees
-below the lcm of the generators contribute.  Regularity of the quotient is
-read off the coarse table as max(j - i) under the quotient normalization.
+below the lcm of the generators contribute, and the oracle computes one
+multidegree per orbit of the ideal's variable symmetry.  Regularity of the
+quotient is read off the coarse table as max(j - i) under the quotient
+normalization.
 
 Ranks are computed exactly over the rationals (integer fraction-free
 elimination); no floating point anywhere.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
-from .core import Monomial, MonomialIdeal, guard_cap
+from .core import (
+    Monomial,
+    MonomialIdeal,
+    arrangements,
+    guard_cap,
+    run_representatives,
+    symmetric_runs,
+)
 from .errors import ParameterRangeError
 from . import kernels
 
@@ -167,33 +175,39 @@ class BettiTable:
         return {"convention": "ideal", "fine": fine, "coarse": coarse}
 
 
-def _betti_at(ideal: MonomialIdeal, a: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], int]]:
+def _betti_at(ideal: MonomialIdeal, a: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The nonzero (homological index, rank) pairs at multidegree a, by index."""
     masks = ideal._table.deficit_masks(a)
     if not masks:
         return []
     cx = _complex_at(a, masks)
-    out = []
-    for dim, rank in sorted(reduced_homology_ranks(cx).items()):
-        if rank:
-            out.append((dim + 1, a, rank))
-    return out
+    return [(dim + 1, rank) for dim, rank in sorted(reduced_homology_ranks(cx).items()) if rank]
 
 
 def betti_table(ideal: MonomialIdeal, box_cap: int | None = None) -> BettiTable:
     """Betti numbers of the ideal over the whole lcm box.
 
-    Multidegrees are visited one at a time in box order, so the table is
-    deterministic.
+    Permuting the variables of a symmetric run (:func:`core.symmetric_runs`)
+    fixes the ideal, so the Betti numbers at the permuted multidegree are
+    those at the original one.  Only the run representatives (entries non-increasing within
+    each run) are computed, and each nonzero one is copied to every distinct
+    arrangement.  Entries are inserted in box order, sorted by (multidegree,
+    i), so the table is the one a visit of every box point gives.  An ideal
+    without symmetry has runs of length one and visits every point.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("Betti oracle needs a nonzero, proper ideal")
     cap = guard_cap(box_cap, "BITYPE_MAX_BOX", DEFAULT_BOX_CAP)
     bounds = ideal.lcm_box(cap, "multidegree")
-    entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    for a in product(*(range(b + 1) for b in bounds)):
-        for i, a_, rank in _betti_at(ideal, a):
-            entries[(i, a_)] = rank
-    return BettiTable(ideal=ideal, entries=entries)
+    runs = symmetric_runs(ideal)
+    found = []
+    for a in run_representatives(bounds, runs):
+        ranks = _betti_at(ideal, a)
+        if ranks:
+            for image, _ in arrangements(a, runs):
+                found.extend((image, i, rank) for i, rank in ranks)
+    found.sort()
+    return BettiTable(ideal=ideal, entries={(i, a): rank for a, i, rank in found})
 
 
 def regularity_oracle(ideal: MonomialIdeal, box_cap: int | None = None) -> int:

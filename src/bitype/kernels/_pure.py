@@ -6,7 +6,10 @@ so first-witness results agree across implementations).  They are the
 fallback when the extension is not built and the reference the extension is
 tested against.  The exception is :func:`sortable_box_scan`, a memoized
 search that runs on both lanes; the compiled box scan is only checked
-against it.
+against it.  :meth:`GenTable.ass_scan` is on no oracle's path: the colon
+oracle calls :meth:`GenTable.colon_prime_mask` once per symmetry orbit, and
+the full-box scan stays on both lanes as the unreduced reference that
+oracle is tested against.
 
 Conventions shared by both implementations:
 
@@ -97,6 +100,7 @@ class GenTable:
         """Exhaustive colon search over the box 0 <= f <= bounds.
 
         Returns prime-support bitmask -> first witness (lexicographic order).
+        The unreduced reference for ``assoc.associated_primes_oracle``.
         """
         found: dict[int, tuple[int, ...]] = {}
         for f in product(*(range(b + 1) for b in bounds)):

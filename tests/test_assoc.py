@@ -20,8 +20,9 @@ from bitype.assoc import (
     minimal_supports,
     witness_monomial,
 )
+from bitype import assoc, core
 from bitype.covers import minimal_vertex_covers
-from conftest import mono
+from conftest import asymmetric_ideals, bitype_instances, mono, ordered_walk_ideals
 
 
 def support_sets(primes):
@@ -141,3 +142,57 @@ class TestSpecialColonCases:
             associated_primes_oracle(MonomialIdeal.zero(b22))
         with pytest.raises(ParameterRangeError):
             associated_primes_oracle(MonomialIdeal.unit_ideal(b22))
+
+
+def full_box_primes(ideal):
+    """Reference: the unreduced kernel scan, as (prime, first witness) pairs in oracle order."""
+    raw = ideal._table.ass_scan(ideal.lcm_box(assoc.DEFAULT_WITNESS_BOX, "witness"))
+    masks = sorted(raw, key=lambda m: (bin(m).count("1"), assoc._mask_bits(m)))
+    return [(assoc._mask_bits(m), raw[m]) for m in masks]
+
+
+def same_primes(ideal):
+    """The orbit-reduced search finds the reference's primes and witnesses, in its order."""
+    found = associated_primes_oracle(ideal)
+    return [(p.sorted_indices(), w.entries) for p, w in found.items()] == full_box_primes(ideal)
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("n_vars", range(1, 6))
+    def test_bitype_instances_match_full_box(self, n_vars):
+        for ideal in bitype_instances(n_vars, box_cap=assoc.DEFAULT_WITNESS_BOX):
+            assert same_primes(ideal), ideal
+
+    def test_asymmetric_ideals_match_full_box(self):
+        for ideal in asymmetric_ideals():
+            assert same_primes(ideal), ideal
+
+    @pytest.mark.parametrize("n_vars", range(2, 5))
+    def test_ordered_walk_ideals_match_full_box(self, n_vars):
+        for ideal in ordered_walk_ideals(n_vars):
+            assert same_primes(ideal), ideal
+
+
+class TestOrbitMutations:
+    """Each broken reduction must disagree with the full-box reference."""
+
+    def test_dropped_arrangement(self, monkeypatch):
+        def all_but_first(point, runs):
+            images = list(core.arrangements(point, runs))
+            return images[1:] or images
+
+        monkeypatch.setattr(assoc, "arrangements", all_but_first)
+        assert not same_primes(bitype_ideal(make_params((2, 2), 3, 2)))
+
+    def test_identity_mask_map(self, monkeypatch):
+        def identity_sources(point, runs):
+            for image, _ in core.arrangements(point, runs):
+                yield image, tuple(range(len(image)))
+
+        monkeypatch.setattr(assoc, "arrangements", identity_sources)
+        assert not same_primes(bitype_ideal(make_params((2, 2), 15, 4)))
+
+    def test_forced_run(self, monkeypatch):
+        ideal = asymmetric_ideals()[0]
+        monkeypatch.setattr(assoc, "symmetric_runs", lambda i: [(0, i.blocks.n_vars)])
+        assert not same_primes(ideal)

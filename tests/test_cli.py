@@ -179,6 +179,38 @@ class TestSortCheck:
         assert doc["sortable"] is True and doc["violation"] is None
         assert doc["relationCount"] is None and "guardNote" in doc
 
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_max_degree_below_two_is_a_usage_error(self, capsys, value):
+        # below degree 2 there is no fiber to check, so no evidence to report
+        code, out, err = run(
+            capsys,
+            "sort-check", "--blocks", "2,2", "--t", "2", "--s", "2",
+            "--gb-evidence", "--max-degree", value,
+        )
+        assert code == 2 and out == ""
+        assert f"--max-degree: must be at least 2, got {value}" in err
+
+
+class TestGuardFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("betti", "--max-box"),
+            ("ass", "--oracle", "--max-witness-box"),
+            ("invariants", "--max-cover-vars"),
+            ("sort-check", "--max-pairs"),
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_cap_is_a_usage_error(self, capsys, argv, value):
+        *command, flag = argv
+        code, out, err = run(
+            capsys, *command, "--blocks", "2,2", "--t", "2", "--s", "2", flag, value
+        )
+        assert code == 2 and out == ""
+        assert f"{flag}: must be at least 1, got {value}" in err
+
 
 class TestJobs:
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
@@ -318,6 +350,16 @@ class TestGuardEnvironment:
             "betti", "--blocks", "2,2", "--t", "4", "--s", "2", BITYPE_MAX_BOX="3"
         )
         assert code == 4 and "exceeds cap 3" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_cap_is_a_range_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BITYPE_MAX_BOX", value)
+        code, out, _ = run(capsys, "betti", "--blocks", "2,2", "--t", "2", "--s", "2")
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "range",
+            "message": f"BITYPE_MAX_BOX must be at least 1, got {int(value)}",
+        }
 
 
 class TestRecursionLimit:

@@ -1,6 +1,8 @@
 """Monomial and ideal arithmetic: worked examples plus algebraic laws."""
 
 import json
+from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,8 @@ from bitype import (
     make_params,
     minimalize,
 )
-from conftest import gen_set, mono
+from bitype.core import arrangements, run_representatives, symmetric_runs
+from conftest import asymmetric_ideals, bitype_instances, gen_set, mono
 
 
 def small_blocks():
@@ -246,3 +249,57 @@ class TestValidation:
                 assert b222.block_of(k) == i
                 seen.add(k)
         assert seen == set(range(b222.n_vars))
+
+
+class TestSymmetricRuns:
+    @pytest.mark.parametrize("n_vars", range(1, 6))
+    def test_bitype_runs_are_unions_of_blocks(self, n_vars):
+        for ideal in bitype_instances(n_vars):
+            blocks = ideal.blocks
+            boundaries = set(blocks.offsets) | {blocks.n_vars}
+            runs = symmetric_runs(ideal)
+            assert runs[0][0] == 0 and runs[-1][1] == blocks.n_vars
+            assert [start for start, _ in runs[1:]] == [stop for _, stop in runs[:-1]]
+            assert all(start in boundaries and stop in boundaries for start, stop in runs)
+
+    def test_two_blocks_share_a_run(self):
+        ideal = bitype_ideal(make_params((1, 3, 3), 18, 3))
+        assert symmetric_runs(ideal) == [(0, 1), (1, 7)]
+
+    def test_one_run_over_three_blocks(self):
+        assert symmetric_runs(bitype_ideal(make_params((3, 3, 3), 16, 2))) == [(0, 9)]
+
+    def test_no_symmetry_gives_singletons(self):
+        for ideal in asymmetric_ideals():
+            assert symmetric_runs(ideal) == [(k, k + 1) for k in range(ideal.blocks.n_vars)]
+
+
+class TestOrbits:
+    @pytest.mark.parametrize(
+        "bounds,runs",
+        [
+            ((2, 2, 2), [(0, 3)]),
+            ((1, 3, 3, 2, 2), [(0, 1), (1, 3), (3, 5)]),
+            ((2, 1, 3), [(0, 1), (1, 2), (2, 3)]),
+        ],
+    )
+    def test_arrangements_of_representatives_tile_the_box(self, bounds, runs):
+        seen = []
+        for point in run_representatives(bounds, runs):
+            for start, stop in runs:
+                assert list(point[start:stop]) == sorted(point[start:stop], reverse=True)
+            images = [image for image, _ in arrangements(point, runs)]
+            assert images == sorted(set(images))
+            seen.extend(images)
+        assert sorted(seen) == list(product(*(range(b + 1) for b in bounds)))
+
+    def test_sources_rebuild_each_image(self):
+        point = (2, 3, 3, 1, 0, 0)
+        for image, source in arrangements(point, [(0, 1), (1, 6)]):
+            assert image == tuple(point[k] for k in source)
+            assert sorted(source) == list(range(6))
+
+    def test_distinct_arrangements_only(self):
+        point = (3, 3, 2, 2, 1, 1, 0, 0, 0)
+        count = sum(1 for _ in arrangements(point, [(0, 9)]))
+        assert count == factorial(9) // (2 * 2 * 2 * factorial(3))

@@ -13,15 +13,17 @@ from bitype import (
     bitype_ideal,
     make_params,
 )
+from bitype import core, homology
 from bitype.homology import (
     BettiTable,
     KoszulComplex,
+    _betti_at,
     betti_table,
     reduced_homology_ranks,
     regularity_oracle,
     upper_koszul,
 )
-from conftest import mono
+from conftest import asymmetric_ideals, bitype_instances, mono, ordered_walk_ideals
 
 
 class TestKoszulComplex:
@@ -204,3 +206,51 @@ class TestAgainstFullKoszulReference:
                 if rank:
                     expected[i + 1] = rank
             assert reference == expected, entries
+
+
+def full_box_betti(ideal):
+    """Reference: ``_betti_at`` at every point of the lcm box, in box order."""
+    bounds = ideal.lcm_box(homology.DEFAULT_BOX_CAP, "multidegree")
+    entries = {}
+    for a in product(*(range(b + 1) for b in bounds)):
+        for i, rank in _betti_at(ideal, a):
+            entries[(i, a)] = rank
+    return entries
+
+
+def same_table(ideal):
+    """The orbit-reduced table has the reference's entries in the reference's order."""
+    return list(betti_table(ideal).entries.items()) == list(full_box_betti(ideal).items())
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("n_vars", range(1, 6))
+    def test_bitype_instances_match_full_box(self, n_vars):
+        for ideal in bitype_instances(n_vars):
+            assert same_table(ideal), ideal
+
+    def test_asymmetric_ideals_match_full_box(self):
+        for ideal in asymmetric_ideals():
+            assert same_table(ideal), ideal
+
+    @pytest.mark.parametrize("n_vars", range(2, 5))
+    def test_ordered_walk_ideals_match_full_box(self, n_vars):
+        for ideal in ordered_walk_ideals(n_vars):
+            assert same_table(ideal), ideal
+
+
+class TestOrbitMutations:
+    """Each broken reduction must disagree with the full-box reference."""
+
+    def test_dropped_arrangement(self, monkeypatch):
+        def all_but_first(point, runs):
+            images = list(core.arrangements(point, runs))
+            return images[1:] or images
+
+        monkeypatch.setattr(homology, "arrangements", all_but_first)
+        assert not same_table(bitype_ideal(make_params((2, 2), 3, 2)))
+
+    def test_forced_run(self, monkeypatch):
+        ideal = asymmetric_ideals()[0]
+        monkeypatch.setattr(homology, "symmetric_runs", lambda i: [(0, i.blocks.n_vars)])
+        assert not same_table(ideal)
