@@ -31,7 +31,6 @@ from .errors import (
     StructureError,
     UnsortableError,
 )
-from .kernels import COMPILED as KERNELS_COMPILED
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "BitypeError",
     "BlockStructure",
     "IdealParameters",
-    "KERNELS_COMPILED",
     "Monomial",
     "MonomialIdeal",
     "ParameterRangeError",

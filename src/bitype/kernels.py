@@ -1,22 +1,26 @@
-"""Pure-Python kernels.
+"""The hot inner loops: generator-table scans, exact ranks, the sortability search.
 
-These mirror the compiled extension ``_speedups`` one-to-one: same function
-names, same argument conventions, same outputs (including enumeration order,
-so first-witness results agree across implementations).  They are the
-fallback when the extension is not built and the reference the extension is
-tested against.  The exception is :func:`sortable_box_scan`, a memoized
-search that runs on both lanes; the compiled box scan is only checked
-against it.  :meth:`GenTable.ass_scan` is on no oracle's path: the colon
-oracle calls :meth:`GenTable.colon_prime_mask` once per symmetry orbit, and
-the full-box scan stays on both lanes as the unreduced reference that
-oracle is tested against.
+A generator table is ``count`` rows of ``width`` nonnegative ints, given
+flat.  Beside the rows it keeps, per coordinate ``k``, two lists of row
+bitsets (bit ``r`` stands for row ``r``):
 
-Conventions shared by both implementations:
+* ``le[k][v]``: the rows with ``row[k] <= v``, for ``v`` below the column
+  maximum (at or above it every row qualifies);
+* ``eq[k][v]``: the rows with ``row[k] == v``, for ``v`` up to the column
+  maximum.
 
-* a generator table is ``count`` rows of ``width`` nonnegative ints, flat;
-* exponent vectors are plain int tuples;
-* variable subsets are bitmasks over flat variable indices;
-* boxes are enumerated in lexicographic order (last coordinate fastest).
+The rows dividing a vector are then an AND of one bitset per coordinate,
+so a scan costs ``width`` big-int operations instead of a loop over every
+row.  Each scan returns what a loop over the rows in order returns,
+including the order of its output; ``tests/test_kernels.py`` holds every
+scan to that row loop.  :meth:`GenTable.ass_scan` is on no oracle's path:
+the colon oracle calls :meth:`GenTable.colon_prime_mask` once per symmetry
+orbit, and the full-box scan is the unreduced reference that oracle is
+tested against.
+
+Exponent vectors are plain int tuples, variable subsets are bitmasks over
+flat variable indices, and boxes are enumerated in lexicographic order
+(last coordinate fastest).
 """
 
 from itertools import product
@@ -25,75 +29,94 @@ from itertools import product
 class GenTable:
     """Scan-oriented view of a minimal generating set."""
 
-    __slots__ = ("count", "width", "rows")
+    __slots__ = ("count", "width", "rows", "_full", "_top", "_le", "_eq")
 
     def __init__(self, flat, count, width):
         self.count = count
         self.width = width
         self.rows = [tuple(flat[r * width:(r + 1) * width]) for r in range(count)]
+        self._full = (1 << count) - 1
+        self._top = []
+        self._le = []
+        self._eq = []
+        for k in range(width):
+            top = max((row[k] for row in self.rows), default=0)
+            eq = [0] * (top + 1)
+            for r, row in enumerate(self.rows):
+                eq[row[k]] |= 1 << r
+            le = []
+            below = 0
+            for rows in eq[:top]:
+                below |= rows
+                le.append(below)
+            self._top.append(top)
+            self._le.append(le)
+            self._eq.append(eq)
+
+    def _dividing(self, a) -> int:
+        """Bitset of the rows dividing ``a`` componentwise."""
+        rows = self._full
+        for le, top, v in zip(self._le, self._top, a):
+            if v < top:
+                rows &= le[v]
+                if not rows:
+                    break
+        return rows
 
     def contains(self, f) -> bool:
         """True iff some row divides f componentwise."""
-        for row in self.rows:
-            if all(a <= b for a, b in zip(row, f)):
-                return True
-        return False
+        return self._dividing(f) != 0
 
     def deficit_masks(self, a) -> list[int]:
         """For each row dividing ``a``: bitmask of positions where a exceeds it.
 
         These masks are the facet candidates of the multigraded Koszul complex
-        at ``a``; an empty list means ``a`` is not in the ideal.
+        at ``a``, in row order; an empty list means ``a`` is not in the ideal.
         """
+        rows = self._dividing(a)
         out = []
-        for row in self.rows:
+        while rows:
+            low = rows & -rows
+            row = self.rows[low.bit_length() - 1]
             mask = 0
-            ok = True
-            for k in range(self.width):
-                diff = a[k] - row[k]
-                if diff < 0:
-                    ok = False
-                    break
-                if diff > 0:
+            for k, v in enumerate(a):
+                if v > row[k]:
                     mask |= 1 << k
-            if ok:
-                out.append(mask)
+            out.append(mask)
+            rows ^= low
         return out
 
     def colon_prime_mask(self, f) -> int:
         """Bitmask F when the colon by ``f`` equals the prime on F, else -1.
 
         The colon I : f is that prime exactly when f is outside the ideal,
-        every variable of F pushes f in (each such row exceeds f in a single
-        position, by exactly one), and every row exceeds f somewhere on F.
+        every variable of F pushes f in (some row exceeds f at that position
+        only, by exactly one), and every row exceeds f somewhere on F.  With
+        ``L_k`` the rows not exceeding f at k: f is outside the ideal when the
+        AND of all ``L_k`` is empty, k is in F when ``eq[k][f_k + 1]`` meets
+        the AND of the ``L_j`` for j before k and for j after k, and every row
+        exceeds f on F when the AND of ``L_k`` over F is empty.
         """
+        full = self._full
+        fits = [le[v] if v < top else full for le, top, v in zip(self._le, self._top, f)]
+        prefix = []
+        rows = full
+        for fit in fits:
+            prefix.append(rows)
+            rows &= fit
+        if rows:
+            return -1  # f lies in the ideal; colon is the unit ideal
         mask = 0
-        for row in self.rows:
-            over = -1
-            count = 0
-            excess = 0
-            for k in range(self.width):
-                d = row[k] - f[k]
-                if d > 0:
-                    count += 1
-                    if count > 1:
-                        break
-                    over = k
-                    excess = d
-            if count == 0:
-                return -1  # f lies in the ideal; colon is the unit ideal
-            if count == 1 and excess == 1:
-                mask |= 1 << over
-        if mask == 0:
+        suffix = full
+        unhit = full
+        for k in range(self.width - 1, -1, -1):
+            v = f[k] + 1
+            if v <= self._top[k] and self._eq[k][v] & prefix[k] & suffix:
+                mask |= 1 << k
+                unhit &= fits[k]
+            suffix &= fits[k]
+        if mask == 0 or unhit:
             return -1
-        for row in self.rows:
-            hit = False
-            for k in range(self.width):
-                if (mask >> k) & 1 and row[k] > f[k]:
-                    hit = True
-                    break
-            if not hit:
-                return -1
         return mask
 
     def ass_scan(self, bounds) -> dict[int, tuple[int, ...]]:
@@ -110,12 +133,25 @@ class GenTable:
         return found
 
 
+def implementation_name() -> str:
+    """Always ``"pure"``: the kernels have one implementation.
+
+    Kept because the benchmark harness in ``perfbench/`` records this name
+    with every result.
+    """
+    return "pure"
+
+
 def make_table(flat, count, width) -> GenTable:
+    """Generator table with contains / deficit_masks / colon_prime_mask / ass_scan."""
     return GenTable(flat, count, width)
 
 
 def rank_int_rows(rows) -> int:
-    """Exact rank of an integer matrix via fraction-free elimination."""
+    """Exact rank of an integer matrix via fraction-free elimination.
+
+    Intermediates are Python ints, so no entry size overflows.
+    """
     m = [list(r) for r in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0

@@ -168,7 +168,7 @@ class TestSortCheck:
         assert doc["relationCount"] is None and "guardNote" in doc
 
     def test_many_variables(self, capsys):
-        # 66 variables: past the 64 the compiled box scan could hold
+        # 66 variables, wider than a 64-bit variable mask
         code, out, err = run(
             capsys,
             "sort-check", "--blocks", "33,33", "--t", "2", "--s", "1",

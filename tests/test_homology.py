@@ -148,7 +148,7 @@ def quotient_betti_via_full_koszul(ideal, a):
     """
     from itertools import combinations
 
-    from bitype.kernels import _pure
+    from bitype import kernels
 
     width = ideal.blocks.n_vars
 
@@ -178,7 +178,7 @@ def quotient_betti_via_full_koszul(ideal, a):
                 if face in lower:
                     row[lower[face]] = -1 if pos % 2 else 1
             rows.append(row)
-        ranks[i] = _pure.rank_int_rows(rows) if rows and basis[i - 1] else 0
+        ranks[i] = kernels.rank_int_rows(rows) if rows and basis[i - 1] else 0
     out = {}
     for i in range(width + 1):
         rank = len(basis[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0)

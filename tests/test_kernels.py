@@ -1,22 +1,86 @@
-"""Pure and compiled kernels must be output-identical; both must match naive references.
+"""The kernels against literal references.
 
-The cross-checks take the ``speedups`` fixture and skip when the compiled
-extension is not built; the reference tests run on either lane.
+The generator-table scans are held to a loop over the rows in order (the
+scans' own bitset layout is not used there), including the order of
+``deficit_masks``; the rank to elimination over exact fractions; the colon
+mask to the colon ideal built by ``MonomialIdeal.colon``.
 """
 
 from fractions import Fraction
 from itertools import product
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitype import kernels
-from bitype.kernels import _pure
+from conftest import bitype_instances
 
 
-@pytest.fixture(scope="module")
-def speedups():
-    return pytest.importorskip("bitype.kernels._speedups")
+class RowLoopTable:
+    """Reference scans: one pass over the rows per query."""
+
+    def __init__(self, flat, count, width):
+        self.width = width
+        self.rows = [tuple(flat[r * width:(r + 1) * width]) for r in range(count)]
+
+    def contains(self, f) -> bool:
+        for row in self.rows:
+            if all(a <= b for a, b in zip(row, f)):
+                return True
+        return False
+
+    def deficit_masks(self, a) -> list[int]:
+        out = []
+        for row in self.rows:
+            mask = 0
+            ok = True
+            for k in range(self.width):
+                diff = a[k] - row[k]
+                if diff < 0:
+                    ok = False
+                    break
+                if diff > 0:
+                    mask |= 1 << k
+            if ok:
+                out.append(mask)
+        return out
+
+    def colon_prime_mask(self, f) -> int:
+        mask = 0
+        for row in self.rows:
+            over = -1
+            count = 0
+            excess = 0
+            for k in range(self.width):
+                d = row[k] - f[k]
+                if d > 0:
+                    count += 1
+                    if count > 1:
+                        break
+                    over = k
+                    excess = d
+            if count == 0:
+                return -1  # f lies in the ideal; colon is the unit ideal
+            if count == 1 and excess == 1:
+                mask |= 1 << over
+        if mask == 0:
+            return -1
+        for row in self.rows:
+            hit = False
+            for k in range(self.width):
+                if (mask >> k) & 1 and row[k] > f[k]:
+                    hit = True
+                    break
+            if not hit:
+                return -1
+        return mask
+
+    def ass_scan(self, bounds) -> dict[int, tuple[int, ...]]:
+        found: dict[int, tuple[int, ...]] = {}
+        for f in product(*(range(b + 1) for b in bounds)):
+            mask = self.colon_prime_mask(f)
+            if mask >= 0 and mask not in found:
+                found[mask] = f
+        return found
 
 
 @st.composite
@@ -32,23 +96,39 @@ def table_and_vector(draw):
 
 @given(table_and_vector())
 @settings(max_examples=120, deadline=None)
-def test_contains_and_masks_agree(speedups, data):
+def test_contains_and_masks_agree(data):
     flat, count, width, vec = data
-    pure = _pure.make_table(flat, count, width)
-    fast = speedups.make_table(flat, count, width)
-    assert pure.contains(vec) == fast.contains(vec)
-    assert pure.deficit_masks(vec) == fast.deficit_masks(vec)
-    assert pure.colon_prime_mask(vec) == fast.colon_prime_mask(vec)
+    table = kernels.make_table(flat, count, width)
+    reference = RowLoopTable(flat, count, width)
+    assert table.contains(vec) == reference.contains(vec)
+    assert table.deficit_masks(vec) == reference.deficit_masks(vec)
+    assert table.colon_prime_mask(vec) == reference.colon_prime_mask(vec)
 
 
 @given(table_and_vector())
 @settings(max_examples=40, deadline=None)
-def test_ass_scan_agrees(speedups, data):
+def test_ass_scan_agrees(data):
     flat, count, width, _ = data
     bounds = tuple(2 for _ in range(width))
-    pure = _pure.make_table(flat, count, width).ass_scan(bounds)
-    fast = speedups.make_table(flat, count, width).ass_scan(bounds)
-    assert pure == fast
+    table = kernels.make_table(flat, count, width)
+    assert table.ass_scan(bounds) == RowLoopTable(flat, count, width).ass_scan(bounds)
+
+
+def test_scans_agree_on_every_box_point_of_small_bitype_ideals():
+    instances = points = 0
+    for n_vars in range(1, 5):
+        for ideal in bitype_instances(n_vars):
+            flat = tuple(x for g in ideal.gens for x in g.entries)
+            table = kernels.make_table(flat, len(ideal.gens), n_vars)
+            reference = RowLoopTable(flat, len(ideal.gens), n_vars)
+            bounds = ideal.lcm_of_generators().entries
+            for a in product(*(range(b + 1) for b in bounds)):
+                assert table.contains(a) == reference.contains(a), (ideal, a)
+                assert table.deficit_masks(a) == reference.deficit_masks(a), (ideal, a)
+                assert table.colon_prime_mask(a) == reference.colon_prime_mask(a), (ideal, a)
+                points += 1
+            instances += 1
+    assert (instances, points) == (225, 24371)
 
 
 def reference_rank(rows) -> int:
@@ -82,51 +162,20 @@ small_matrices = st.integers(1, 5).flatmap(
 @given(small_matrices)
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_fraction_reference(rows):
-    expected = reference_rank(rows)
-    assert _pure.rank_int_rows(rows) == expected
-    assert kernels.rank_int_rows(rows) == expected
-
-
-@given(small_matrices)
-@settings(max_examples=80, deadline=None)
-def test_compiled_rank_matches_fraction_reference(speedups, rows):
-    assert speedups.rank_int_rows(rows) == reference_rank(rows)
+    assert kernels.rank_int_rows(rows) == reference_rank(rows)
 
 
 def test_rank_overflow_falls_back():
     big = 1 << 70
     rows = [(big, 1), (1, big)]
     assert kernels.rank_int_rows(rows) == 2
-    assert _pure.rank_int_rows(rows) == 2
-
-
-def test_compiled_rank_raises_on_overflow(speedups):
-    big = 1 << 70
-    with pytest.raises(OverflowError):
-        speedups.rank_int_rows([(big, 1), (1, big)])
 
 
 def test_rank_guard_trips_inside_elimination():
     big = (1 << 40) + 7
     rows = [(big, big - 1, 1), (big - 1, big, 2), (1, 2, big)]
-    # int64 intermediates overflow here, but the selector still answers
+    # the fraction-free intermediates pass 2**63 here; the rank stays exact
     assert kernels.rank_int_rows(rows) == reference_rank(rows)
-
-
-@pytest.mark.parametrize(
-    "blocks,t,s",
-    [((2,), 2, 1), ((1, 1), 2, 2), ((2, 2), 4, 2), ((2, 1), 3, 2), ((1, 2, 1), 4, 2)],
-)
-def test_sortable_scan_agrees(speedups, blocks, t, s):
-    assert _pure.sortable_box_scan(blocks, t, s) == speedups.sortable_box_scan(blocks, t, s)
-
-
-def test_sortable_scan_finds_the_same_first_violation(speedups):
-    # a deliberately broken configuration: cap 1 with degree above the block
-    # count forces no violation (squarefree slices stay sortable), while a
-    # synthetic non-closed set must be flagged identically by both lanes
-    for blocks, t, s in [((3,), 2, 1), ((2, 2), 3, 1), ((2, 2), 2, 1)]:
-        assert _pure.sortable_box_scan(blocks, t, s) == speedups.sortable_box_scan(blocks, t, s)
 
 
 def test_colon_prime_mask_matches_literal_colon():
@@ -148,4 +197,4 @@ def test_colon_prime_mask_matches_literal_colon():
 
 
 def test_implementation_name():
-    assert kernels.implementation_name() in ("pure", "compiled")
+    assert kernels.implementation_name() == "pure"

@@ -14,7 +14,7 @@ from bitype import (
     bitype_ideal,
     make_params,
 )
-from bitype.kernels import _pure
+from bitype import kernels
 from bitype.sorting import (
     ToricPresentation,
     _split,
@@ -176,7 +176,7 @@ class TestSortabilitySearch:
         ids=["always-ceil", "always-floor", "odd-entries-whole"],
     )
     def test_mutated_split_caught_with_first_witness(self, monkeypatch, rule, violating):
-        monkeypatch.setattr(_pure, "_entry_split", rule)
+        monkeypatch.setattr(kernels, "_entry_split", rule)
         instances = violations = 0
         for params in _small_instances():
             gens = [g.entries for g in bitype_ideal(params).gens]
@@ -189,12 +189,12 @@ class TestSortabilitySearch:
     def test_true_split_has_no_violation(self):
         for params in _small_instances():
             gens = [g.entries for g in bitype_ideal(params).gens]
-            assert _first_violating_sum(gens, _pure._entry_split) is None
+            assert _first_violating_sum(gens, kernels._entry_split) is None
             assert sortable_violation(params) is None, params
 
     def test_true_split_is_the_interleave(self):
         for c in [(3, 0, 2, 5), (1, 1, 1, 1), (0, 4, 3, 3, 1)]:
-            assert _first_half(c, _pure._entry_split) == _split(c)[0]
+            assert _first_half(c, kernels._entry_split) == _split(c)[0]
 
 
 class TestRelations:
