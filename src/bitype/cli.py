@@ -185,7 +185,9 @@ def _cmd_sort_check(args) -> int:
     }
     pres = sorting.ToricPresentation(bitype_ideal(params))
     if args.gb_evidence:
-        evidence = sorting.quadratic_gb_evidence(pres, max_degree=args.max_degree)
+        evidence = sorting.quadratic_gb_evidence(
+            pres, max_degree=args.max_degree, pair_cap=args.max_pairs
+        )
         doc.update(evidence.to_dict())
     else:
         try:

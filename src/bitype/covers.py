@@ -87,13 +87,22 @@ def cover_number(ideal: MonomialIdeal, max_vars: int | None = None) -> int:
 
 def dim_oracle(ideal: MonomialIdeal, max_vars: int | None = None) -> int:
     """dim of the quotient = number of variables minus the cover number."""
-    return ideal.blocks.n_vars - cover_number(ideal, max_vars)
+    return dim_from_covers(ideal, minimal_vertex_covers(ideal, max_vars))
+
+
+def dim_from_covers(ideal: MonomialIdeal, found: list[frozenset[int]]) -> int:
+    """:func:`dim_oracle` read off the ideal's minimal vertex covers."""
+    return ideal.blocks.n_vars - min(len(w) for w in found)
 
 
 def is_unmixed(ideal: MonomialIdeal, max_vars: int | None = None) -> bool:
     """True when all minimal vertex covers share one cardinality."""
-    sizes = {len(w) for w in minimal_vertex_covers(ideal, max_vars)}
-    return len(sizes) == 1
+    return unmixed_from_covers(minimal_vertex_covers(ideal, max_vars))
+
+
+def unmixed_from_covers(found: list[frozenset[int]]) -> bool:
+    """:func:`is_unmixed` read off the ideal's minimal vertex covers."""
+    return len({len(w) for w in found}) == 1
 
 
 def range_case(params: IdealParameters) -> str:

@@ -61,30 +61,30 @@ def _row(blocks, t, s, quantity, fn) -> ReportRow:
     return ReportRow(tuple(blocks), t, s, quantity, formula, oracle, agree, status, millis)
 
 
-def _regularity_cell(params: IdealParameters, ideal):
+def _regularity_cell(params: IdealParameters, ideal, vertex_covers):
     return covers.regularity_formula(params), homology.regularity_oracle(ideal())
 
 
-def _dim_cell(params: IdealParameters, ideal):
-    return covers.dim_formula(params), covers.dim_oracle(ideal())
+def _dim_cell(params: IdealParameters, ideal, vertex_covers):
+    return covers.dim_formula(params), covers.dim_from_covers(ideal(), vertex_covers())
 
 
-def _unmixed_cell(params: IdealParameters, ideal):
-    return covers.unmixed_formula(params), covers.is_unmixed(ideal())
+def _unmixed_cell(params: IdealParameters, ideal, vertex_covers):
+    return covers.unmixed_formula(params), covers.unmixed_from_covers(vertex_covers())
 
 
-def _ass_cell(params: IdealParameters, ideal):
+def _ass_cell(params: IdealParameters, ideal, vertex_covers):
     formula = {p.indices for p in assoc.associated_primes_formula(params)}
     oracle = {p.indices for p in assoc.associated_primes_oracle(ideal())}
     # counts are shown; agreement is set equality
     return len(formula), len(oracle), formula == oracle
 
 
-def _sortable_cell(params: IdealParameters, ideal):
+def _sortable_cell(params: IdealParameters, ideal, vertex_covers):
     return True, sorting.sortable_violation(params) is None
 
 
-def _graph_cell(params: IdealParameters, ideal):
+def _graph_cell(params: IdealParameters, ideal, vertex_covers):
     graph = strong_block_graph(params.blocks, "all")
     walk = generalized_graph_ideal(graph, params.t)
     direct = ideal()
@@ -178,7 +178,9 @@ def report_grid(name: str) -> list[ReportRow]:
 
     Cells receive the ideal as a zero-argument callable that builds it on
     first use, so a triple whose cells never ask for it (sortability works
-    from the parameters alone) builds none.
+    from the parameters alone) builds none.  The minimal vertex covers are
+    passed the same way, so the dim and unmixed cells of a triple share one
+    enumeration.
     """
     triples: dict[tuple[tuple[int, ...], int, int], list[str]] = {}
     for blocks, t, s, quantity in grid_cells(name):
@@ -187,9 +189,11 @@ def report_grid(name: str) -> list[ReportRow]:
     for (blocks, t, s), quantities in triples.items():
         params = make_params(blocks, t, s)
         ideal = cache(partial(bitype_ideal, params))
+        vertex_covers = cache(lambda: covers.minimal_vertex_covers(ideal()))
         for quantity in quantities:
             rows.append(
-                _row(blocks, t, s, quantity, lambda: _CELLS[quantity](params, ideal))
+                _row(blocks, t, s, quantity,
+                     lambda: _CELLS[quantity](params, ideal, vertex_covers))
             )
     rows.sort(key=ReportRow.sort_key)
     return rows

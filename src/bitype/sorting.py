@@ -13,9 +13,18 @@ kernel is gathered per fiber: directed rewriting terminates and reaches a
 unique normal form, which also makes the fiber connected under single
 sorting moves.  Fibers and rewriting work on generator indices and entry
 tuples; no Monomial is built along the way.
+
+The evidence does each piece of work once.  Every generator pair is sorted
+once, into a table of moves, and every multiset of a fiber is moved once: a
+walk that reaches a state recorded by an earlier walk of the fiber stops
+there.  The rewrite rule is deterministic, so the recorded form and distance
+are exactly where and how far the walk would have gone on, and a state on a
+cycle is never recorded, so the documents match rewriting every member from
+scratch (see :func:`_check_fiber`).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from operator import add
 
@@ -134,11 +143,24 @@ class ToricPresentation:
 def sorting_relations(pres: ToricPresentation, pair_cap: int | None = None) -> list[SortingRelation]:
     """One relation per unsorted unordered pair of generators, in canonical order."""
     gens = pres.generators
+    return [
+        SortingRelation(lhs=(gens[i], gens[j]), rhs=(gens[a], gens[b]))
+        for (i, j), (a, b) in _unsorted_pairs(pres, pair_cap).items()
+    ]
+
+
+def _unsorted_pairs(pres: ToricPresentation, pair_cap: int | None = None) -> dict[tuple[int, int], tuple[int, int]]:
+    """Sorted image of every unsorted pair i <= j of generator indices, in pair order.
+
+    Each pair is sorted once, here; sorted pairs are left out, so the table
+    holds exactly the moves of the rewriting and one entry per relation.
+    """
+    gens = pres.generators
     cap = guard_cap(pair_cap, "BITYPE_MAX_SORT_PAIRS", DEFAULT_PAIR_CAP)
     n_pairs = len(gens) * (len(gens) + 1) // 2
     if n_pairs > cap:
         raise SizeGuardError(f"{n_pairs} generator pairs exceed the cap {cap}")
-    out = []
+    table = {}
     for i in range(len(gens)):
         for j in range(i, len(gens)):
             image = pres.sorted_indices(i, j)
@@ -147,10 +169,8 @@ def sorting_relations(pres: ToricPresentation, pair_cap: int | None = None) -> l
                     f"sorted image of ({gens[i].pretty()}, {gens[j].pretty()}) leaves the set"
                 )
             if tuple(sorted(image)) != (i, j):
-                out.append(
-                    SortingRelation(lhs=(gens[i], gens[j]), rhs=(gens[image[0]], gens[image[1]]))
-                )
-    return out
+                table[i, j] = image
+    return table
 
 
 def fibers_of_degree(pres: ToricPresentation, d: int, multiset_cap: int = 200000) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -185,32 +205,63 @@ def normal_form(
     truncation.
     """
     cap = guard_cap(step_cap, "BITYPE_MAX_REWRITE_STEPS", DEFAULT_REWRITE_CAP)
-    state = tuple(sorted(multiset))
-    seen = {state}
-    for _ in range(cap):
-        nxt = next(_single_moves(pres, state), None)
-        if nxt is None:
-            return state
-        if nxt in seen:
-            raise RewriteLimitError(f"rewriting cycled at {state} -> {nxt}")
-        seen.add(nxt)
-        state = nxt
-    raise RewriteLimitError(f"rewriting exceeded {cap} steps from {tuple(sorted(multiset))}")
+    return _rewrite(partial(_pair_move, pres), tuple(sorted(multiset)), cap, {})
 
 
-def _single_moves(pres: ToricPresentation, multiset: tuple[int, ...]):
-    """All multisets reachable by sorting one pair inside the multiset."""
-    for a, b in combinations(range(len(multiset)), 2):
-        i, j = multiset[a], multiset[b]
-        image = pres.sorted_indices(i, j)
-        if image is None:
-            raise UnsortableError("presentation is not sortable")
-        if tuple(sorted(image)) != (i, j):  # i <= j in a sorted multiset
-            rest = list(multiset)
+def _pair_move(pres: ToricPresentation, pair: tuple[int, int]) -> tuple[int, int] | None:
+    """Sorted image of the pair i <= j, or None when the pair is already sorted."""
+    image = pres.sorted_indices(*pair)
+    if image is None:
+        raise UnsortableError("presentation is not sortable")
+    return None if tuple(sorted(image)) == pair else image
+
+
+def _first_move(moves, state: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The state after sorting its first unsorted pair, in position order; None at a form.
+
+    ``moves((i, j))`` is the sorted image of the pair i <= j, or None when
+    the pair is sorted.
+    """
+    for a, b in combinations(range(len(state)), 2):
+        image = moves((state[a], state[b]))
+        if image is not None:
+            rest = list(state)
             del rest[b]
             del rest[a]
             rest.extend(image)
-            yield tuple(sorted(rest))
+            return tuple(sorted(rest))
+    return None
+
+
+def _rewrite(moves, start: tuple[int, ...], cap: int, known: dict) -> tuple[int, ...]:
+    """Normal form of the sorted multiset start, within cap rewrite steps.
+
+    ``known`` maps each state whose walk has finished to its normal form and
+    its step count to that form.  The walk stops at the first known state
+    and then records every state it passed.  The cap applies to the whole
+    path, including the known part, so a walk trips it exactly when a walk
+    from scratch would.
+    """
+    path: dict[tuple[int, ...], None] = {}  # insertion order is walk order
+    state = start
+    while state not in known:
+        if len(path) == cap:
+            raise RewriteLimitError(f"rewriting exceeded {cap} steps from {start}")
+        nxt = _first_move(moves, state)
+        if nxt is None:
+            known[state] = (state, 0)
+            break
+        path[state] = None
+        if nxt in path:
+            raise RewriteLimitError(f"rewriting cycled at {state} -> {nxt}")
+        state = nxt
+    form, distance = known[state]
+    steps = len(path) + distance
+    if steps >= cap:
+        raise RewriteLimitError(f"rewriting exceeded {cap} steps from {start}")
+    for k, passed in enumerate(path):
+        known[passed] = (form, steps - k)
+    return form
 
 
 @dataclass
@@ -235,19 +286,28 @@ class GBEvidence:
         }
 
 
-def _check_fiber(pres, degree, target, members, step_cap):
+def _check_fiber(moves, degree, target, members, step_cap):
     """Termination and a unique normal form for a single fiber.
 
-    Connectivity needs no pass of its own.  :func:`normal_form` takes each
-    member to its form by single sorting moves, and a move keeps the
-    exponent sum, so every step stays inside the fiber.  When all members
-    share one form, each is joined to that form by moves within the fiber,
-    so the fiber is connected.
+    Each member is rewritten once.  The rewrite rule is deterministic, so a
+    state's walk is the same whichever member reaches it: a walk that meets
+    a state recorded by an earlier walk of the fiber continues along the
+    recorded path and ends at the recorded form, after the recorded number
+    of steps.  Only finished walks are recorded, so a state on a cycle never
+    is, and a walk into a cycle reports it at the same step as a walk from
+    scratch.
+
+    Connectivity needs no pass of its own.  Rewriting takes each member to
+    its form by single sorting moves, and a move keeps the exponent sum, so
+    every step stays inside the fiber.  When all members share one form,
+    each is joined to that form by moves within the fiber, so the fiber is
+    connected.
     """
+    known: dict = {}
     forms = set()
     for m in members:
         try:
-            forms.add(normal_form(pres, m, step_cap))
+            forms.add(_rewrite(moves, m, step_cap, known))
         except RewriteLimitError as exc:
             return [
                 {"kind": "nontermination", "degree": degree, "target": list(target),
@@ -265,6 +325,7 @@ def quadratic_gb_evidence(
     pres: ToricPresentation,
     max_degree: int = 3,
     step_cap: int | None = None,
+    pair_cap: int | None = None,
 ) -> GBEvidence:
     """Fiber-by-fiber evidence that sorting relations define the kernel.
 
@@ -273,19 +334,21 @@ def quadratic_gb_evidence(
     every member.  Together these make the fiber connected under single
     sorting moves, so connectivity is not checked separately (see
     :func:`_check_fiber`).  Fibers are checked one at a time, in degree
-    order and then by target.  Violations are data, not exceptions.
+    order and then by target.  Violations are data, not exceptions.  Each
+    generator pair is sorted once, for the relation count and the moves
+    alike; ``pair_cap`` bounds that walk as it bounds :func:`sorting_relations`.
     """
-    relations = sorting_relations(pres)  # raises UnsortableError on bad input
+    moves = _unsorted_pairs(pres, pair_cap)  # raises UnsortableError on bad input
     step_cap = guard_cap(step_cap, "BITYPE_MAX_REWRITE_STEPS", DEFAULT_REWRITE_CAP)
     # every degree is grouped before any check, so a multiset guard trips first
     fibers = {d: fibers_of_degree(pres, d) for d in range(2, max_degree + 1)}
     violations: list[dict] = []
     for d, grouped in fibers.items():
         for target, members in sorted(grouped.items()):
-            violations.extend(_check_fiber(pres, d, target, members, step_cap))
+            violations.extend(_check_fiber(moves.get, d, target, members, step_cap))
     return GBEvidence(
         sortable=True,
-        relation_count=len(relations),
+        relation_count=len(moves),
         fibers_checked={d: len(grouped) for d, grouped in fibers.items()},
         violations=violations,
     )

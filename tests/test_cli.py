@@ -1,6 +1,7 @@
 """CLI behavior: documents, exit codes, flags."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -178,6 +179,35 @@ class TestSortCheck:
         doc = json.loads(out)
         assert doc["sortable"] is True and doc["violation"] is None
         assert doc["relationCount"] is None and "guardNote" in doc
+
+    def test_pair_guard_bounds_the_evidence(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "sort-check", "--blocks", "2,2", "--t", "4", "--s", "2",
+            "--gb-evidence", "--max-pairs", "3",
+        )
+        assert code == 4
+        assert json.loads(out) == {
+            "error": {"message": "153 generator pairs exceed the cap 3", "type": "guard"}
+        }
+
+    @pytest.mark.parametrize(
+        "blocks,t,s,digest",
+        [
+            ("2,2", "4", "2", "57c1c1a60b7123c1768950aac4ed5d6515c5f735b720c2f3f04a359e03504cca"),
+            ("1,3,1", "5", "3", "509002199563527bb62a7e5cd57611022f43f3b2f383548c27e379a366536230"),
+            ("2,2", "11", "3", "e0c5f71e8e2dddd90a719e41644e797efdc5ed8d54036264014577b558d1f5c2"),
+            ("2,3", "4", "2", "83891f111904f5eaa1008c68daabd2e038a2883b355ff0b969f261257ba75979"),
+        ],
+    )
+    def test_evidence_document_is_pinned(self, capsys, blocks, t, s, digest):
+        code, out, err = run(
+            capsys,
+            "sort-check", "--blocks", blocks, "--t", t, "--s", s,
+            "--gb-evidence", "--max-degree", "3",
+        )
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("value", ["1", "0", "-3"])
     def test_max_degree_below_two_is_a_usage_error(self, capsys, value):

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from bitype import ParameterRangeError, bitype_ideal, report
+from bitype import ParameterRangeError, bitype_ideal, covers, report
 from bitype.report import (
     ReportRow,
     disagreements,
@@ -74,3 +74,17 @@ def test_each_triple_builds_its_ideal_at_most_once(monkeypatch):
     sortable_only = {(b, t, s) for b, t, s, _ in cells} - needing
     assert sortable_only  # the grid exercises the never-built case
     assert sorted(built) == sorted(needing)
+
+
+def test_each_triple_enumerates_its_covers_at_most_once(monkeypatch):
+    enumerated = []
+    true_covers = covers.minimal_vertex_covers
+
+    def counting(ideal, max_vars=None):
+        enumerated.append(ideal)
+        return true_covers(ideal, max_vars)
+
+    monkeypatch.setattr(covers, "minimal_vertex_covers", counting)
+    report_grid("small")
+    needing = {(b, t, s) for b, t, s, q in grid_cells("small") if q in ("dim", "unmixed")}
+    assert len(enumerated) == len(needing)

@@ -1,6 +1,7 @@
 """Sort operator laws, sortability checks, relations, fibers, rewriting."""
 
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +11,14 @@ from bitype import (
     Monomial,
     MonomialIdeal,
     ParameterRangeError,
+    RewriteLimitError,
     UnsortableError,
     bitype_ideal,
     make_params,
 )
-from bitype import kernels
+from bitype import kernels, sorting
 from bitype.sorting import (
+    DEFAULT_REWRITE_CAP,
     ToricPresentation,
     _split,
     fiber,
@@ -341,3 +344,126 @@ class TestEvidenceMutations:
         assert {"kind": "nontermination", "degree": 2, "target": [1, 1, 1, 1],
                 "detail": "rewriting cycled at (1, 2) -> (0, 3)"} in evidence.violations
         assert not evidence.passed
+
+
+def _reference_moves(pres, multiset):
+    """Every multiset one sorting move away, pairs in position order."""
+    for a, b in combinations(range(len(multiset)), 2):
+        i, j = multiset[a], multiset[b]
+        image = pres.sorted_indices(i, j)
+        if image is None:
+            raise UnsortableError("presentation is not sortable")
+        if tuple(sorted(image)) != (i, j):
+            rest = list(multiset)
+            del rest[b]
+            del rest[a]
+            rest.extend(image)
+            yield tuple(sorted(rest))
+
+
+def _reference_normal_form(pres, multiset, cap):
+    """Rewrite one multiset from scratch, taking the first move each step."""
+    state = tuple(sorted(multiset))
+    seen = {state}
+    for _ in range(cap):
+        nxt = next(_reference_moves(pres, state), None)
+        if nxt is None:
+            return state
+        if nxt in seen:
+            raise RewriteLimitError(f"rewriting cycled at {state} -> {nxt}")
+        seen.add(nxt)
+        state = nxt
+    raise RewriteLimitError(f"rewriting exceeded {cap} steps from {tuple(sorted(multiset))}")
+
+
+def reference_evidence(pres, max_degree=3, step_cap=None):
+    """``quadratic_gb_evidence(...).to_dict()`` with every fiber member rewritten from scratch."""
+    cap = DEFAULT_REWRITE_CAP if step_cap is None else step_cap
+    n = len(pres.generators)
+    relations = sum(
+        tuple(sorted(pres.sorted_indices(i, j))) != (i, j) for i in range(n) for j in range(i, n)
+    )
+    checked, violations = {}, []
+    for d in range(2, max_degree + 1):
+        grouped = fibers_of_degree(pres, d)
+        checked[str(d)] = len(grouped)
+        for target, members in sorted(grouped.items()):
+            try:
+                forms = {_reference_normal_form(pres, m, cap) for m in members}
+            except RewriteLimitError as exc:
+                violations.append({"kind": "nontermination", "degree": d,
+                                   "target": list(target), "detail": str(exc)})
+                continue
+            if len(forms) > 1:
+                violations.append({"kind": "normal-form-mismatch", "degree": d,
+                                   "target": list(target), "forms": sorted(map(list, forms))})
+    return {"sortable": True, "relationCount": relations, "fibersChecked": checked,
+            "violations": violations}
+
+
+class TestEvidenceMatchesReference:
+    """Recorded walks give the same document as rewriting every member from scratch."""
+
+    @pytest.mark.parametrize("step_cap", [1, 2, 3, 4, 6, None])
+    @pytest.mark.parametrize("blocks,t,s", CRITERION_7 + [((1, 3, 1), 5, 3), ((1, 2), 3, 2)])
+    def test_same_document(self, blocks, t, s, step_cap):
+        pres = ToricPresentation(bitype_ideal(make_params(blocks, t, s)))
+        expected = reference_evidence(pres, step_cap=step_cap)
+        assert quadratic_gb_evidence(pres, step_cap=step_cap).to_dict() == expected
+
+    def test_cycle_reached_from_a_later_member(self, monkeypatch):
+        # fiber (1, 2, 2, 4): (0, 0, 7) -> (0, 1, 6) is recorded as a finished
+        # walk, (0, 1, 6) is then already known, and (0, 2, 5) enters the cycle
+        pres = ToricPresentation(bitype_ideal(make_params((2, 2), 3, 2)))
+        true_sort = ToricPresentation.sorted_indices
+        cycle = {(0, 2): (1, 1), (1, 1): (0, 2)}
+        monkeypatch.setattr(
+            ToricPresentation, "sorted_indices",
+            lambda self, i, j: cycle.get((i, j)) or true_sort(self, i, j),
+        )
+        members = fibers_of_degree(pres, 3)[(1, 2, 2, 4)]
+        assert members == [(0, 0, 7), (0, 1, 6), (0, 2, 5), (1, 1, 5)]
+        assert normal_form(pres, members[0]) == (0, 1, 6)
+        evidence = quadratic_gb_evidence(pres)
+        assert {"kind": "nontermination", "degree": 3, "target": [1, 2, 2, 4],
+                "detail": "rewriting cycled at (1, 1, 5) -> (0, 2, 5)"} in evidence.violations
+        assert evidence.to_dict() == reference_evidence(pres)
+
+
+class TestEvidenceWork:
+    """One evidence call sorts each generator pair once and moves each multiset once."""
+
+    @pytest.fixture
+    def pres(self):
+        pres = ToricPresentation(bitype_ideal(make_params((2, 2), 4, 2)))
+        assert len(pres.generators) == 17
+        return pres
+
+    def test_each_pair_sorted_once(self, pres, monkeypatch):
+        calls = []
+        true_sort = ToricPresentation.sorted_indices
+
+        def counting(self, i, j):
+            calls.append((i, j))
+            return true_sort(self, i, j)
+
+        monkeypatch.setattr(ToricPresentation, "sorted_indices", counting)
+        assert quadratic_gb_evidence(pres).passed
+        assert len(calls) <= 17 * 18 // 2 == 153
+
+    def test_each_multiset_moved_once(self, pres, monkeypatch):
+        states = []
+        true_first_move = sorting._first_move
+
+        def counting(moves, state):
+            states.append(state)
+            return true_first_move(moves, state)
+
+        monkeypatch.setattr(sorting, "_first_move", counting)
+        assert quadratic_gb_evidence(pres).passed
+        assert len(states) <= sum(comb(17 + d - 1, d) for d in (2, 3))
+        # a walk stays in its fiber and a recorded state is not moved again,
+        # so each multiset is moved exactly once
+        assert sorted(states) == sorted(
+            m for d in (2, 3) for members in fibers_of_degree(pres, d).values() for m in members
+        )
