@@ -6,9 +6,9 @@ has an explicit witness monomial of degree t-1 (cap s off F, capped
 remainder on F) whose colon recovers the prime.  The oracle route ignores
 the closed form entirely: it finds the colon of the ideal by every monomial
 below the generator lcm and keeps the monomial primes that appear.  It
-computes one colon per orbit of the permutations that fix the ideal's
-symmetric runs of variables, and carries each prime to the rest of its
-orbit.
+colons one point per orbit of the permutations that fix the ideal's
+symmetric runs of variables, and colons every other point of an orbit
+only when that representative's colon is prime.
 """
 
 from itertools import combinations
@@ -82,11 +82,13 @@ def associated_primes_oracle(
     the standard completeness bound for associated primes of a monomial
     ideal.  Permuting the variables of a symmetric run
     (:func:`core.symmetric_runs`) fixes the ideal, so the colon by a
-    permuted monomial is the permuted colon.  The search therefore colons
-    only the run representatives (entries non-increasing within each run)
-    and maps each prime it finds through every distinct arrangement of its
-    representative.  Witnesses are the lexicographically first monomials
-    achieving each prime, as a scan of the whole box finds them.
+    permuted monomial is the permuted colon, and an orbit holds a prime
+    colon only if its representative (entries non-increasing within each
+    run) does.  The search therefore colons each representative, and then
+    every distinct arrangement of those whose colon is prime.  Each prime
+    and witness reported is thus a colon actually computed.  Witnesses are
+    the lexicographically first monomials achieving each prime, as a scan
+    of the whole box finds them.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("associated primes need a nonzero, proper ideal")
@@ -96,16 +98,12 @@ def associated_primes_oracle(
     table = ideal._table
     raw: dict[int, tuple[int, ...]] = {}
     for f in run_representatives(bounds, runs):
-        mask = table.colon_prime_mask(f)
-        if mask < 0:
+        if table.colon_prime_mask(f) < 0:
             continue
-        for image, source in arrangements(f, runs):
-            image_mask = 0
-            for p, k in enumerate(source):
-                if (mask >> k) & 1:
-                    image_mask |= 1 << p
-            if image_mask not in raw or image < raw[image_mask]:
-                raw[image_mask] = image
+        for image in arrangements(f, runs):
+            mask = table.colon_prime_mask(image)
+            if mask >= 0 and (mask not in raw or image < raw[mask]):
+                raw[mask] = image
     out: dict[PrimeSupport, Monomial] = {}
     for mask in sorted(raw, key=lambda m: (bin(m).count("1"), _mask_bits(m))):
         support = PrimeSupport(ideal.blocks, frozenset(_mask_bits(mask)))

@@ -11,7 +11,7 @@ composition sum is kept as a cross-check oracle.
 
 from dataclasses import dataclass
 
-from .core import BlockStructure, Monomial, MonomialIdeal, ideal_product, ideal_sum
+from .core import BlockStructure, Monomial, MonomialIdeal
 from .errors import ParameterRangeError
 
 

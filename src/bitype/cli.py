@@ -86,7 +86,7 @@ def _cmd_invariants(args) -> int:
     params = _params(args)
     ideal = bitype_ideal(params)
     covers_list = covers.minimal_vertex_covers(ideal, args.max_cover_vars)
-    cover_sizes = {len(w) for w in covers_list}
+    dim_o = covers.dim_from_covers(ideal, covers_list)
 
     def names(w):
         return [ideal.blocks.var_name(k) for k in sorted(w)]
@@ -102,11 +102,11 @@ def _cmd_invariants(args) -> int:
         "t": args.t,
         "s": args.s,
         "dimFormula": dim_f,
-        "dimOracle": ideal.blocks.n_vars - min(cover_sizes),
-        "h": min(cover_sizes),
+        "dimOracle": dim_o,
+        "h": ideal.blocks.n_vars - dim_o,
         "minimalCovers": [names(w) for w in covers_list],
         "unmixedFormula": unmixed_f,
-        "unmixedOracle": len(cover_sizes) == 1,
+        "unmixedOracle": covers.unmixed_from_covers(covers_list),
         "regFormula": covers.regularity_formula(params),
     }
     human = [

@@ -380,26 +380,12 @@ def _distinct_permutations(values: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def arrangements(point: tuple[int, ...], runs: list[tuple[int, int]]):
-    """The distinct rearrangements of ``point`` within each run, with their sources.
+    """The distinct rearrangements of ``point`` within each run.
 
-    Yields ``(image, source)`` in lexicographic order of ``image``, where
-    ``image[p] == point[source[p]]``.  Equal entries of a run keep their
-    order, so each image comes with one canonical permutation.  Only the
-    distinct arrangements of each run's multiset are built, never all of
-    its permutations.
+    Yields image tuples in lexicographic order.  Only the distinct
+    arrangements of each run's multiset are built, never all of its
+    permutations.
     """
-    per_run = []
-    for start, stop in runs:
-        slots: dict[int, list[int]] = {}
-        for k in range(start, stop):
-            slots.setdefault(point[k], []).append(k)
-        options = []
-        for values in _distinct_permutations(point[start:stop]):
-            taken = {v: iter(ks) for v, ks in slots.items()}
-            options.append((values, tuple(next(taken[v]) for v in values)))
-        per_run.append(options)
+    per_run = [_distinct_permutations(point[start:stop]) for start, stop in runs]
     for parts in product(*per_run):
-        yield (
-            tuple(chain.from_iterable(values for values, _ in parts)),
-            tuple(chain.from_iterable(source for _, source in parts)),
-        )
+        yield tuple(chain.from_iterable(parts))

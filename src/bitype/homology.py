@@ -204,7 +204,7 @@ def betti_table(ideal: MonomialIdeal, box_cap: int | None = None) -> BettiTable:
     for a in run_representatives(bounds, runs):
         ranks = _betti_at(ideal, a)
         if ranks:
-            for image, _ in arrangements(a, runs):
+            for image in arrangements(a, runs):
                 found.extend((image, i, rank) for i, rank in ranks)
     found.sort()
     return BettiTable(ideal=ideal, entries={(i, a): rank for a, i, rank in found})

@@ -14,7 +14,6 @@ from itertools import product as iproduct
 
 from . import assoc, covers, homology, sorting
 from .builders import IdealParameters, bitype_ideal, make_params
-from .core import BlockStructure
 from .errors import ParameterRangeError, SizeGuardError
 from .graphs import generalized_graph_ideal, strong_block_graph
 

@@ -1,6 +1,6 @@
 """Associated primes: closed form, witness construction, colon-search oracle."""
 
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -184,13 +184,23 @@ class TestOrbitMutations:
         monkeypatch.setattr(assoc, "arrangements", all_but_first)
         assert not same_primes(bitype_ideal(make_params((2, 2), 3, 2)))
 
-    def test_identity_mask_map(self, monkeypatch):
-        def identity_sources(point, runs):
-            for image, _ in core.arrangements(point, runs):
-                yield image, tuple(range(len(image)))
+    def test_representative_mask_for_every_image(self):
+        class RepresentativeColons:
+            """The ideal's table, but each colon is taken at its run representative."""
 
-        monkeypatch.setattr(assoc, "arrangements", identity_sources)
-        assert not same_primes(bitype_ideal(make_params((2, 2), 15, 4)))
+            def __init__(self, table, runs):
+                self.table, self.runs = table, runs
+
+            def colon_prime_mask(self, f):
+                rep = chain.from_iterable(sorted(f[a:b], reverse=True) for a, b in self.runs)
+                return self.table.colon_prime_mask(tuple(rep))
+
+            def __getattr__(self, name):
+                return getattr(self.table, name)
+
+        ideal = bitype_ideal(make_params((2, 2), 15, 4))
+        ideal.__dict__["_table"] = RepresentativeColons(ideal._table, core.symmetric_runs(ideal))
+        assert not same_primes(ideal)
 
     def test_forced_run(self, monkeypatch):
         ideal = asymmetric_ideals()[0]

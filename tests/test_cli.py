@@ -123,6 +123,33 @@ class TestAss:
         assert doc["formula"] is None
         assert len(doc["oracle"]) > 0
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("--blocks", "2,2", "--t", "15", "--s", "4"),
+                "8b21d9edad8db65bb6a7900caf2f009eb08176acb9bd09255392313faf7737ed",
+            ),
+            (
+                # out of regime: the witnesses come from the oracle
+                ("--blocks", "2,2,2", "--t", "6", "--s", "3"),
+                "1ceedf6bb1005a6af6181e8d956cf5ea62e08a5019184ec5e8d936001328469d",
+            ),
+            (
+                ("--blocks", "1,3,1", "--t", "9", "--s", "2"),
+                "48515db8fdb8085730fef3402caa5372d0834080504e279c5f7de3b0556dc31c",
+            ),
+            (
+                ("--blocks", "2,3", "--t", "5", "--s", "3", "--human"),
+                "239097263229e0b1adc204c37ce4011503ab8bf93ca404d9feac1c9a35291052",
+            ),
+        ],
+    )
+    def test_oracle_document_is_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "ass", *argv, "--oracle", "--witnesses")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestBetti:
     def test_segre_square(self, capsys):
@@ -138,6 +165,18 @@ class TestBetti:
             capsys, "betti", "--blocks", "2,2", "--t", "4", "--s", "2", "--max-box", "3"
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "blocks,t,s,digest",
+        [
+            ("2,2,2", "6", "3", "b0530979e8522c043ad227f05ef1e9278256f0d4aab4c03b2afb6db803b27786"),
+            ("3,3", "5", "3", "54440246920edcda97b1aca40cbeb4a3a714c85138cf7898f500b9d63891cb06"),
+        ],
+    )
+    def test_document_is_pinned(self, capsys, blocks, t, s, digest):
+        code, out, err = run(capsys, "betti", "--blocks", blocks, "--t", t, "--s", s)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSortCheck:
