@@ -85,10 +85,10 @@ def associated_primes_oracle(
     permuted monomial is the permuted colon, and an orbit holds a prime
     colon only if its representative (entries non-increasing within each
     run) does.  The search therefore colons each representative, and then
-    every distinct arrangement of those whose colon is prime.  Each prime
-    and witness reported is thus a colon actually computed.  Witnesses are
-    the lexicographically first monomials achieving each prime, as a scan
-    of the whole box finds them.
+    every other distinct arrangement of those whose colon is prime, so no
+    point is coloned twice.  Each prime and witness reported is thus a
+    colon actually computed.  Witnesses are the lexicographically first
+    monomials achieving each prime, as a scan of the whole box finds them.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("associated primes need a nonzero, proper ideal")
@@ -98,10 +98,11 @@ def associated_primes_oracle(
     table = ideal._table
     raw: dict[int, tuple[int, ...]] = {}
     for f in run_representatives(bounds, runs):
-        if table.colon_prime_mask(f) < 0:
+        hit = table.colon_prime_mask(f)
+        if hit < 0:
             continue
         for image in arrangements(f, runs):
-            mask = table.colon_prime_mask(image)
+            mask = hit if image == f else table.colon_prime_mask(image)
             if mask >= 0 and (mask not in raw or image < raw[mask]):
                 raw[mask] = image
     out: dict[PrimeSupport, Monomial] = {}

@@ -9,6 +9,15 @@ multidegree per orbit of the ideal's variable symmetry.  Regularity of the
 quotient is read off the coarse table as max(j - i) under the quotient
 normalization.
 
+Homology is taken relative to the closed star of one vertex v, the apex:
+the faces lying in some facet that contains v.  The star is a cone on v
+(adding v to a face of the star gives a face of the star), so its reduced
+homology vanishes in every dimension.  In the long exact sequence of the
+pair, H~_d(star) -> H~_d(K) -> H_d(K, star) -> H~_(d-1)(star), both outer
+terms are zero, so H~_d(K) = H_d(K, star v).  The relative chains are the
+faces in no facet containing v, so only subsets of the facets missing v
+are enumerated and eliminated; a cone has no relative chains at all.
+
 Ranks are computed exactly over the rationals (integer fraction-free
 elimination); no floating point anywhere.
 """
@@ -89,40 +98,81 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> KoszulComplex:
     return _complex_at(a.entries, ideal._table.deficit_masks(a.entries))
 
 
-def _boundary_rows(grouped: list[list[int]], size: int) -> list[list[int]]:
-    """Boundary matrix from size-vertex to (size-1)-vertex faces of ``faces_by_dim``."""
-    lower = {f: i for i, f in enumerate(grouped[size - 1])}
-    width = len(lower)
+def _boundary_rows(upper: list[int], lower: list[int]) -> list[list[int]]:
+    """Boundary matrix from ``upper`` to ``lower`` faces; terms outside ``lower`` are dropped."""
+    index = {f: i for i, f in enumerate(lower)}
+    width = len(index)
     rows = []
-    for face in grouped[size]:
+    for face in upper:
         row = [0] * width
         bits = [b for b in range(face.bit_length()) if (face >> b) & 1]
         for pos, b in enumerate(bits):
-            row[lower[face ^ (1 << b)]] = -1 if pos % 2 else 1
+            col = index.get(face ^ (1 << b))
+            if col is not None:
+                row[col] = -1 if pos % 2 else 1
         rows.append(row)
     return rows
+
+
+def _apex(facets: tuple[int, ...]) -> int:
+    """The vertex lying in the most facets, the lowest index on ties."""
+    counts: dict[int, int] = {}
+    for facet in facets:
+        for b in range(facet.bit_length()):
+            if (facet >> b) & 1:
+                counts[b] = counts.get(b, 0) + 1
+    return min(counts, key=lambda b: (-counts[b], b))
+
+
+def _relative_faces(facets: tuple[int, ...], apex: int, top: int) -> list[list[int]]:
+    """The faces outside the apex's closed star, grouped by vertex count 0..top.
+
+    Each lies in a facet missing the apex and in no facet containing it;
+    the empty face lies in the star.
+    """
+    star = [f for f in facets if (f >> apex) & 1]
+    grouped: list[set[int]] = [set() for _ in range(top + 1)]
+    for facet in facets:
+        if (facet >> apex) & 1:
+            continue
+        sub = facet
+        while sub:
+            size = bin(sub).count("1")
+            if sub not in grouped[size] and not any(sub | g == g for g in star):
+                grouped[size].add(sub)
+            sub = (sub - 1) & facet
+    return [sorted(bucket) for bucket in grouped]
 
 
 def reduced_homology_ranks(complex_: KoszulComplex) -> dict[int, int]:
     """Reduced rational homology ranks by dimension, -1 upward.
 
-    Boundary ranks come from exact elimination; the empty complex (only the
-    empty face) has rank one in dimension -1, the void complex has none.
+    The keys run from -1 to the top face dimension, zeros included; the
+    empty complex (only the empty face) has rank one in dimension -1, the
+    void complex has no keys.  Ranks are those of the complex relative to
+    the apex's closed star (see the module docstring): a face missing the
+    apex is a relative chain unless adding the apex keeps it a face, and
+    its boundary terms inside the star vanish in the quotient.  The result
+    does not depend on the vertex chosen.
     """
-    grouped = complex_.faces_by_dim()
-    if not grouped:
+    facets = complex_.facets
+    if not facets:
         return {}
-    top = len(grouped) - 1
-    # boundary_rank[d] = rank of the map from (d)-faces to (d-1)-faces,
-    # with d counted by vertex count here (0 = empty face)
+    top = max(bin(f).count("1") for f in facets)
+    ranks = dict.fromkeys(range(-1, top), 0)
+    if top == 0:
+        ranks[-1] = 1
+        return ranks
+    faces = _relative_faces(facets, _apex(facets), top)
+    # boundary_rank[size] = rank of the relative map from size- to (size-1)-vertex faces
     boundary_rank = [0] * (top + 2)
+    for size in range(2, top + 1):
+        if faces[size] and faces[size - 1]:
+            boundary_rank[size] = kernels.rank_int_rows(
+                _boundary_rows(faces[size], faces[size - 1])
+            )
     for size in range(1, top + 1):
-        # rank of the transpose equals the rank; rows are the higher faces.
-        # Faces are downward closed, so no bucket up to top is empty.
-        boundary_rank[size] = kernels.rank_int_rows(_boundary_rows(grouped, size))
-    ranks = {}
-    for size in range(len(grouped)):
-        ranks[size - 1] = len(grouped[size]) - boundary_rank[size] - boundary_rank[size + 1]
+        ranks[size - 1] = len(faces[size]) - boundary_rank[size] - boundary_rank[size + 1]
     return ranks
 
 

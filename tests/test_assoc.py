@@ -172,6 +172,26 @@ class TestOrbitReduction:
         for ideal in ordered_walk_ideals(n_vars):
             assert same_primes(ideal), ideal
 
+    def test_each_point_coloned_once(self):
+        class CountingColons:
+            """The ideal's table, recording every point it colons."""
+
+            def __init__(self, table):
+                self.table, self.points = table, []
+
+            def colon_prime_mask(self, f):
+                self.points.append(f)
+                return self.table.colon_prime_mask(f)
+
+            def __getattr__(self, name):
+                return getattr(self.table, name)
+
+        ideal = bitype_ideal(make_params((2, 2), 15, 4))
+        counting = CountingColons(ideal._table)
+        ideal.__dict__["_table"] = counting
+        assert same_primes(ideal)
+        assert len(counting.points) == len(set(counting.points))
+
 
 class TestOrbitMutations:
     """Each broken reduction must disagree with the full-box reference."""

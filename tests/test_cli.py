@@ -151,6 +151,10 @@ class TestAss:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Betti documents whose lcm box exceeds the default cap, with the cap each runs under.
+PAST_CAP_BOXES = {"2,2,2,2": "7000", "3,3,3": "20000"}
+
+
 class TestBetti:
     def test_segre_square(self, capsys):
         code, out, _ = run(capsys, "betti", "--blocks", "2,2", "--t", "2", "--s", "2")
@@ -171,10 +175,15 @@ class TestBetti:
         [
             ("2,2,2", "6", "3", "b0530979e8522c043ad227f05ef1e9278256f0d4aab4c03b2afb6db803b27786"),
             ("3,3", "5", "3", "54440246920edcda97b1aca40cbeb4a3a714c85138cf7898f500b9d63891cb06"),
+            ("3,1,3", "5", "2", "0121f928d36654901c276b4be6d06b9609322316c9c6ea4c22bc45496ba4dbb0"),
+            ("1,3,3", "9", "2", "046f5e15da8c586c15f5a0b263b46857284b89c30cbc03568241e1f0b72bd82b"),
+            ("2,2,2,2", "6", "2", "55c8631eabd4226339fd7f138a36ac5ab7efc37d1b1191337dc11c2dd829c8a3"),
+            ("3,3,3", "6", "2", "d9f86fdb6e5fa93f8f78c7996274abd36c14ebf1266e975d0a082b813e709fd9"),
         ],
     )
     def test_document_is_pinned(self, capsys, blocks, t, s, digest):
-        code, out, err = run(capsys, "betti", "--blocks", blocks, "--t", t, "--s", s)
+        guard = ["--max-box", PAST_CAP_BOXES[blocks]] if blocks in PAST_CAP_BOXES else []
+        code, out, err = run(capsys, "betti", "--blocks", blocks, "--t", t, "--s", s, *guard)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -4,6 +4,7 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitype import (
     BlockStructure,
@@ -13,7 +14,7 @@ from bitype import (
     bitype_ideal,
     make_params,
 )
-from bitype import core, homology
+from bitype import core, homology, kernels
 from bitype.homology import (
     BettiTable,
     KoszulComplex,
@@ -254,3 +255,168 @@ class TestOrbitMutations:
         ideal = asymmetric_ideals()[0]
         monkeypatch.setattr(homology, "symmetric_runs", lambda i: [(0, i.blocks.n_vars)])
         assert not same_table(ideal)
+
+
+def full_chain_ranks(complex_):
+    """Reference: every face of the complex, full boundary rows, exact ranks."""
+    grouped = complex_.faces_by_dim()
+    if not grouped:
+        return {}
+    boundary_rank = [0] * (len(grouped) + 1)
+    for size in range(1, len(grouped)):
+        lower = {f: i for i, f in enumerate(grouped[size - 1])}
+        rows = []
+        for face in grouped[size]:
+            row = [0] * len(lower)
+            bits = [b for b in range(face.bit_length()) if (face >> b) & 1]
+            for pos, b in enumerate(bits):
+                row[lower[face ^ (1 << b)]] = -1 if pos % 2 else 1
+            rows.append(row)
+        boundary_rank[size] = kernels.rank_int_rows(rows)
+    return {
+        size - 1: len(bucket) - boundary_rank[size] - boundary_rank[size + 1]
+        for size, bucket in enumerate(grouped)
+    }
+
+
+def facet_masks(*facets):
+    return tuple(sum(1 << v for v in facet) for facet in facets)
+
+
+# Named complexes as facet lists over vertices 0..5.
+RP2 = facet_masks(
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5),
+)
+OCTAHEDRON = facet_masks(*((a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)))
+NAMED = {
+    "rp2": (RP2, {-1: 0, 0: 0, 1: 0, 2: 0}),
+    "octahedron": (OCTAHEDRON, {-1: 0, 0: 0, 1: 0, 2: 1}),
+    "two_triangles": (facet_masks((0, 1, 2), (3, 4, 5)), {-1: 0, 0: 1, 1: 0, 2: 0}),
+    "cone": (facet_masks((0, 1, 2), (0, 2, 3), (0, 3, 4)), {-1: 0, 0: 0, 1: 0, 2: 0}),
+    "empty": ((0,), {-1: 1}),
+    "void": ((), {}),
+}
+
+
+def complex_of(facets):
+    """The complex with these facets on the vertices they use."""
+    union = 0
+    for facet in facets:
+        union |= facet
+    vertices = tuple(v for v in range(union.bit_length()) if (union >> v) & 1)
+    return KoszulComplex(vertices=vertices, facets=facets)
+
+
+def koszul_complexes(ideals):
+    """The distinct Koszul complexes at the in-ideal points of each ideal's lcm box."""
+    seen = set()
+    for ideal in ideals:
+        bounds = ideal.lcm_of_generators().entries
+        for entries in product(*(range(b + 1) for b in bounds)):
+            cx = upper_koszul(ideal, Monomial(ideal.blocks, entries))
+            if cx.facets and cx not in seen:
+                seen.add(cx)
+                yield cx
+
+
+def star_corpus():
+    """Every Koszul complex of the small ideals, then the named complexes."""
+    ideals = [i for n in range(1, 5) for i in bitype_instances(n)] + asymmetric_ideals()
+    yield from koszul_complexes(ideals)
+    for facets, _ in NAMED.values():
+        yield complex_of(facets)
+
+
+facet_families = st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=8)
+).map(lambda masks: complex_of(tuple(sorted(set(masks)))))
+
+
+class TestStarReduction:
+    """Homology relative to the apex's closed star equals the full chain complex's."""
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_complexes(self, name):
+        facets, expected = NAMED[name]
+        cx = complex_of(facets)
+        assert full_chain_ranks(cx) == expected
+        assert reduced_homology_ranks(cx) == expected
+
+    def test_cone_needs_no_elimination(self, monkeypatch):
+        def no_rank(rows):
+            raise AssertionError("a cone needs no elimination")
+
+        monkeypatch.setattr(kernels, "rank_int_rows", no_rank)
+        facets, expected = NAMED["cone"]
+        assert reduced_homology_ranks(complex_of(facets)) == expected
+
+    def test_koszul_complexes_match_full_chains(self):
+        checked = 0
+        for cx in star_corpus():
+            assert reduced_homology_ranks(cx) == full_chain_ranks(cx), cx
+            checked += 1
+        assert checked > 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(facet_families)
+    def test_facet_families_match_full_chains(self, cx):
+        assert reduced_homology_ranks(cx) == full_chain_ranks(cx)
+
+
+def nonempty_faces(facet):
+    sub = facet
+    while sub:
+        yield sub
+        sub = (sub - 1) & facet
+
+
+def relative_faces_by(enumerated, keep):
+    """A ``_relative_faces`` stand-in: faces of the enumerated facets that ``keep`` accepts."""
+
+    def relative(facets, apex, top):
+        grouped = [set() for _ in range(top + 1)]
+        for facet in enumerated(facets, apex):
+            for sub in nonempty_faces(facet):
+                if keep(sub, facets, apex):
+                    grouped[bin(sub).count("1")].add(sub)
+        return [sorted(bucket) for bucket in grouped]
+
+    return relative
+
+
+def missing_apex(facets, apex):
+    return [f for f in facets if not (f >> apex) & 1]
+
+
+def in_no_facet_of(sub, facets):
+    return not any(sub | g == g for g in facets)
+
+
+class TestStarMutations:
+    """Each broken relative complex must disagree with the full chain complex."""
+
+    def disagrees(self, monkeypatch, enumerated, keep):
+        monkeypatch.setattr(homology, "_relative_faces", relative_faces_by(enumerated, keep))
+        return any(reduced_homology_ranks(cx) != full_chain_ranks(cx) for cx in star_corpus())
+
+    def test_star_faces_kept(self, monkeypatch):
+        assert self.disagrees(monkeypatch, missing_apex, lambda sub, facets, apex: True)
+
+    def test_open_star_removed(self, monkeypatch):
+        def misses_apex(sub, facets, apex):
+            return not (sub >> apex) & 1
+
+        assert self.disagrees(monkeypatch, lambda facets, apex: facets, misses_apex)
+
+    def test_filtered_by_every_facet(self, monkeypatch):
+        def outside_all(sub, facets, apex):
+            return in_no_facet_of(sub, facets)
+
+        assert self.disagrees(monkeypatch, missing_apex, outside_all)
+
+    def test_correct_stand_in_agrees(self, monkeypatch):
+        def outside_star(sub, facets, apex):
+            return in_no_facet_of(sub, [g for g in facets if (g >> apex) & 1])
+
+        assert not self.disagrees(monkeypatch, missing_apex, outside_star)
