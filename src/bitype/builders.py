@@ -7,6 +7,13 @@ products of per-block Veronese-type ideals of degrees q_i.  Equivalently it
 is generated by all degree-t monomials with entries <= s that touch every
 block; the direct characterization is the production path and the literal
 composition sum is kept as a cross-check oracle.
+
+The production builder walks the flat variables once, depth first, and
+only takes values that still complete to a generator, so its work is
+proportional to its output.  Its rows come out distinct, of degree t and in
+lexicographic order -- the canonical minimal generating set -- and are
+wrapped without minimalizing or validating them again.  It recurses once per
+variable, so about a thousand variables reach Python's recursion limit.
 """
 
 from dataclasses import dataclass
@@ -86,24 +93,51 @@ def veronese_type_ideal(blocks: BlockStructure, block_index: int, degree: int, c
         )
     offset = blocks.offsets[block_index]
     big_n = blocks.n_vars
-    gens = []
-    for comp in _bounded_compositions(degree, [cap] * m):
-        entries = [0] * big_n
-        entries[offset:offset + m] = comp
-        gens.append(Monomial(blocks, tuple(entries)))
+    head, tail = (0,) * offset, (0,) * (big_n - offset - m)
+    rows = [head + comp + tail for comp in _bounded_compositions(degree, [cap] * m)]
     # distinct vectors of one degree in lexicographic order: already canonical
-    return MonomialIdeal(blocks, tuple(gens))
+    return MonomialIdeal._from_rows(blocks, rows)
 
 
 def bitype_ideal(params: IdealParameters) -> MonomialIdeal:
-    """Direct characterization: degree t, entries <= s, every block touched."""
+    """Direct characterization: degree t, entries <= s, every block touched.
+
+    One depth-first recursion over the flat variables in index order picks
+    each entry from the values that still complete to a generator: at least
+    the degree that the later variables cannot hold at cap s, at least 1 at
+    the last variable of a block nothing has touched yet, at most s, and at
+    most what leaves one degree for each later block.  The last variable
+    takes the degree that remains.  Every branch therefore ends in a
+    generator.  The rows are distinct, all of degree t, and come out in
+    lexicographic order, so they already are the canonical minimal
+    generating set: nothing is minimalized, sorted or validated again.
+
+    The recursion is one frame deep per variable, so a block structure with
+    about as many variables as the recursion limit raises RecursionError
+    (the CLI reports it as a guard).
+    """
     blocks, t, s = params.blocks, params.t, params.s
-    gens = []
-    for v in _bounded_compositions(t, [s] * blocks.n_vars):
-        mono = Monomial(blocks, v)
-        if all(mono.block_degree(i) >= 1 for i in range(blocks.n_blocks)):
-            gens.append(mono)
-    return MonomialIdeal.from_generators(blocks, gens)
+    last = blocks.n_vars - 1
+    room = [s * (last - k) for k in range(last + 1)]  # what the later variables hold
+    later, ends = [], []  # blocks after k's block; whether k ends its block
+    for i, m in enumerate(blocks.block_sizes):
+        later += [blocks.n_blocks - 1 - i] * m
+        ends += [False] * (m - 1) + [True]
+    rows: list[tuple[int, ...]] = []
+
+    def rec(k, rem, touched, prefix):
+        if k == last:
+            rows.append(prefix + (rem,))
+            return
+        lo = rem - room[k]
+        if lo < 1 and ends[k] and not touched:
+            lo = 1
+        hi = min(s, rem - later[k])
+        for v in range(max(lo, 0), hi + 1):
+            rec(k + 1, rem - v, not ends[k] and (touched or v > 0), prefix + (v,))
+
+    rec(0, t, False, ())
+    return MonomialIdeal._from_rows(blocks, rows)
 
 
 def bitype_ideal_by_compositions(params: IdealParameters) -> MonomialIdeal:

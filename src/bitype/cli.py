@@ -350,8 +350,8 @@ def _run(args) -> int:
         _error("range", str(exc))
         return EXIT_RANGE
     except RecursionError:
-        # the composition enumeration and the sortability search recurse
-        # once per variable, so very wide block structures run out of stack
+        # the generator builders and the sortability search recurse once
+        # per variable, so very wide block structures run out of stack
         where = ""
         if hasattr(args, "blocks"):  # every command but report
             where = f" over {sum(_parse_blocks(args.blocks))} variables"

@@ -98,6 +98,21 @@ def _require_same_structure(a, b):
         )
 
 
+def _integral(entries: tuple) -> tuple[int, ...]:
+    """Exponents that are not plain ints, as ints: integers only, never a bool."""
+    from operator import index  # only values that are not plain ints get here
+
+    out = []
+    for e in entries:
+        if isinstance(e, bool):
+            raise ParameterRangeError(f"exponent {e!r} is a bool, not an integer")
+        try:
+            out.append(index(e))
+        except TypeError:
+            raise ParameterRangeError(f"exponent {e!r} is not an integer") from None
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A monomial as a nonnegative integer exponent vector."""
@@ -106,7 +121,9 @@ class Monomial:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(self.entries)
+        if not all(type(e) is int for e in entries):
+            entries = _integral(entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.blocks.n_vars:
             raise StructureError(
@@ -216,7 +233,24 @@ class MonomialIdeal:
             if not any(all(a <= b for a, b in zip(k, v)) for k in lower):
                 kept.append(v)
         kept.sort()
-        return cls(blocks, tuple(Monomial(blocks, v) for v in kept))
+        return cls._from_rows(blocks, kept)
+
+    @classmethod
+    def _from_rows(cls, blocks: BlockStructure, rows) -> "MonomialIdeal":
+        """The ideal of rows that already are its canonical generators.
+
+        ``rows`` must be distinct int tuples of length N that form an
+        antichain in lexicographic order; each becomes a ``Monomial``
+        without being validated again.
+        """
+        new, put = object.__new__, object.__setattr__
+        gens = []
+        for row in rows:
+            g = new(Monomial)
+            put(g, "blocks", blocks)
+            put(g, "entries", row)
+            gens.append(g)
+        return cls(blocks, tuple(gens))
 
     @classmethod
     def zero(cls, blocks: BlockStructure) -> "MonomialIdeal":

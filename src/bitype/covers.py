@@ -16,11 +16,13 @@ DEFAULT_COVER_VARS = 20
 
 def _support_masks(ideal: MonomialIdeal) -> list[int]:
     """Inclusion-minimal generator supports; covering only depends on these."""
+    bits = [1 << k for k in range(ideal.blocks.n_vars)]
     raw = set()
     for g in ideal.gens:
         m = 0
-        for k in g.support():
-            m |= 1 << k
+        for bit, e in zip(bits, g.entries):
+            if e:
+                m |= bit
         raw.add(m)
     minimal = []
     for m in sorted(raw, key=lambda x: bin(x).count("1")):

@@ -25,7 +25,7 @@ scratch (see :func:`_check_fiber`).
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import add
 
 from .builders import IdealParameters
@@ -183,9 +183,18 @@ def fibers_of_degree(pres: ToricPresentation, d: int, multiset_cap: int = 200000
         total = total * (len(entries) + k) // (k + 1)
     if total > multiset_cap:
         raise SizeGuardError(f"{total} degree-{d} multisets exceed the cap {multiset_cap}")
+    # each degree-d sum is a degree-(d-1) sum plus one entry tuple; extending
+    # every multiset by indices from its last one on keeps the lexicographic
+    # (combinations_with_replacement) order
+    layer = [((i,), e) for i, e in enumerate(entries)]
+    for _ in range(d - 1):
+        layer = [
+            (combo + (j,), tuple(map(add, target, entries[j])))
+            for combo, target in layer
+            for j in range(combo[-1], len(entries))
+        ]
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for combo in combinations_with_replacement(range(len(entries)), d):
-        target = tuple(map(sum, zip(*(entries[idx] for idx in combo))))
+    for combo, target in layer:
         fibers.setdefault(target, []).append(combo)
     return fibers
 

@@ -1,11 +1,13 @@
 """Builders: worked generator sets, parameter validation, construction cross-check."""
 
+import inspect
 from itertools import product
 
 import pytest
 
 from bitype import (
     BlockStructure,
+    Monomial,
     MonomialIdeal,
     ParameterRangeError,
     bitype_ideal,
@@ -13,6 +15,7 @@ from bitype import (
     make_params,
     veronese_type_ideal,
 )
+from bitype import builders
 from conftest import GOLDEN_11_3, GOLDEN_15_4, GOLDEN_2_2, GOLDEN_3_2_222, GOLDEN_4_2, gen_set
 
 
@@ -112,6 +115,96 @@ class TestCompositionOracle:
             assert g.total_degree == 5
             assert max(g.entries) <= 2
             assert all(g.block_degree(i) >= 1 for i in range(2))
+
+
+def oracle_cases():
+    """(blocks, t, s) beyond the full grid: single blocks, singleton blocks, corners."""
+    cases = [((m,), t, s) for m in range(1, 9) for s in (1, 2, 3) for t in range(s, s * m + 1)]
+    cases += [
+        ((1,) * k, t, s) for k in range(1, 9) for s in (1, 2, 3) for t in range(max(k, s), s * k + 1)
+    ]
+    for shape in ((2, 3), (1, 4), (3, 1, 2), (2, 2, 2, 2), (1, 2, 3, 2)):
+        big_n = sum(shape)
+        for s in (1, 2, 3):
+            cases += [(shape, t, s) for t in {max(len(shape), s), s * big_n}]
+    return cases
+
+
+class TestDirectBuilder:
+    """The recursion builds canonical generators directly and validates nothing twice."""
+
+    def test_builds_without_minimalizing_or_validating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct builder must not call this")
+
+        monkeypatch.setattr(MonomialIdeal, "from_generators", classmethod(refuse))
+        monkeypatch.setattr(Monomial, "__post_init__", refuse)
+        monkeypatch.setattr(builders, "_bounded_compositions", refuse)
+        for blocks, t, s in (((2, 2), 4, 2), ((1, 3, 1), 5, 3), ((3, 3, 3), 14, 3), ((5,), 3, 1)):
+            assert len(bitype_ideal(make_params(blocks, t, s))) > 0
+
+    def test_generators_equal_validated_monomials(self):
+        for blocks, t, s in (((2, 2), 4, 2), ((1, 3, 1), 5, 3), ((2, 3), 7, 2), ((4,), 4, 2)):
+            ideal = bitype_ideal(make_params(blocks, t, s))
+            for g in ideal.gens:
+                assert all(type(e) is int for e in g.entries)
+                validated = Monomial(ideal.blocks, g.entries)
+                assert validated == g and hash(validated) == hash(g)
+
+    def test_agrees_with_compositions_beyond_the_grid(self):
+        for blocks, t, s in oracle_cases():
+            params = make_params(blocks, t, s)
+            assert bitype_ideal(params) == bitype_ideal_by_compositions(params), (blocks, t, s)
+
+    def test_two_blocks_of_four(self):
+        params = make_params((4, 4), 8, 3)
+        ideal = bitype_ideal(params)
+        assert len(ideal) == 3761
+        assert ideal == bitype_ideal_by_compositions(params)
+
+
+def builder_from(source: str):
+    """``bitype_ideal`` compiled from a version of the builders module source."""
+    namespace = {"__name__": "bitype.builders", "__package__": "bitype"}
+    exec(compile(source, builders.__file__, "exec"), namespace)
+    return namespace["bitype_ideal"]
+
+
+def mutant_builder(old: str, new: str):
+    """``bitype_ideal`` with one fragment of its source replaced."""
+    source = inspect.getsource(builders)
+    assert source.count(old) == 1, old
+    return builder_from(source.replace(old, new))
+
+
+# name: (fragment of bitype_ideal, its replacement, an instance where the mutant is wrong)
+BUILDER_MUTATIONS = {
+    # a block's last variable may stay 0 although nothing in the block was touched
+    "block-touch rule": ("if lo < 1 and ends[k] and not touched:", "if False:", ((2, 2), 2, 2)),
+    # a touch in one block counts for every later block
+    "touched reset": ("not ends[k] and (touched or v > 0)", "(touched or v > 0)", ((2, 2, 2), 3, 2)),
+    # the remainder no longer has to fit the later variables at cap s, so the
+    # last variable can take more than s
+    "cap floor": ("lo = rem - room[k]", "lo = 0", ((2, 2), 4, 1)),
+    # a block may use up the degree that the later blocks need
+    "later-blocks ceiling": ("hi = min(s, rem - later[k])", "hi = min(s, rem)", ((2, 2), 2, 2)),
+}
+
+
+class TestBuilderMutations:
+    """Each broken rule of the recursion disagrees with the compositions oracle."""
+
+    @pytest.mark.parametrize("name", BUILDER_MUTATIONS)
+    def test_mutant_disagrees(self, name):
+        old, new, (blocks, t, s) = BUILDER_MUTATIONS[name]
+        params = make_params(blocks, t, s)
+        assert mutant_builder(old, new)(params) != bitype_ideal_by_compositions(params)
+
+    def test_unmutated_source_agrees(self):
+        build = builder_from(inspect.getsource(builders))
+        for blocks, t, s in [case for _, _, case in BUILDER_MUTATIONS.values()]:
+            params = make_params(blocks, t, s)
+            assert build(params) == bitype_ideal_by_compositions(params)
 
 
 class TestParameterValidation:

@@ -51,6 +51,40 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "--blocks", "2,2", "--t", "2", "--s", "2", "--human")
         assert code == 0 and "4 generators" in out
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("--blocks", "3,3,3", "--t", "14", "--s", "3"),
+                "0c59a4d93c62febf4592b0a1bfecf159c0d922ac21c9b1dfe795ac54ef0f4929",
+            ),
+            (
+                ("--blocks", "1,3,1", "--t", "5", "--s", "3"),
+                "641024107b7cbabf4c1e02cfaf20d004ea8e1a329b1fd30290ac39b0b12c3461",
+            ),
+            (
+                ("--blocks", "33,33", "--t", "2", "--s", "1"),
+                "6fe862f208433633cf56115a60ffc749fef073a393300d7eaf491c003d602f81",
+            ),
+            (
+                ("--blocks", "12", "--t", "6", "--s", "2"),
+                "c025c9d6d34b488b14e674944e98e9b27fd480f5761bb916cb2370a2efa97f16",
+            ),
+            (
+                ("--blocks", "2,2", "--t", "4", "--s", "2", "--human"),
+                "237310fb3e0ef516ae22d6105751213164e99a2b26aa20d68556ea72fed80fbd",
+            ),
+            (
+                ("--blocks", "3,3,3", "--t", "14", "--s", "3", "--by-compositions"),
+                "35ab0fd070bac2069e7887a454daa4ec30aa3788cc8269ecb161a1a8b4ae82bd",
+            ),
+        ],
+    )
+    def test_document_is_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_range_error_object_and_exit(self, capsys):
         code, out, _ = run(capsys, "gen", "--blocks", "2,2", "--t", "1", "--s", "2")
         assert code == 3

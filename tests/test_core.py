@@ -233,6 +233,24 @@ class TestValidation:
         with pytest.raises(ParameterRangeError):
             Monomial(b22, (0, 0, -1, 0))
 
+    @pytest.mark.parametrize("bad", [1.7, 2.0, "2", True, False, None])
+    def test_non_integer_exponent(self, bad):
+        with pytest.raises(ParameterRangeError):
+            Monomial(BlockStructure((2,)), (bad, 1))
+
+    @pytest.mark.parametrize("bad", [1.5, "2", True])
+    def test_non_integer_exponent_from_dict(self, bad):
+        with pytest.raises(ParameterRangeError):
+            MonomialIdeal.from_dict({"blocks": [2], "gens": [[bad, 0], [0, 2]]})
+
+    def test_integer_like_exponent_becomes_int(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        m = Monomial(BlockStructure((2,)), (Three(), 0))
+        assert m.entries == (3, 0) and type(m.entries[0]) is int
+
     def test_wrong_length(self, b22):
         with pytest.raises(StructureError):
             Monomial(b22, (0, 0, 0))

@@ -1,6 +1,6 @@
 """Sort operator laws, sortability checks, relations, fibers, rewriting."""
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -250,6 +250,17 @@ class TestFibers:
     def test_unreachable_target_empty(self, b22):
         pres = ToricPresentation(bitype_ideal(make_params((2, 2), 2, 2)))
         assert fiber(pres, 2, mono(b22, 4, 0, 0, 0)) == []
+
+    @pytest.mark.parametrize("blocks,t,s", [((2, 2), 2, 2), ((2, 3), 4, 2), ((1, 3, 1), 5, 3)])
+    def test_extended_sums_match_sums_from_scratch(self, blocks, t, s):
+        # same targets, same members, and both in combinations_with_replacement order
+        pres = ToricPresentation(bitype_ideal(make_params(blocks, t, s)))
+        for d in (1, 2, 3):
+            expected = {}
+            for combo in combinations_with_replacement(range(len(pres.entries)), d):
+                target = tuple(map(sum, zip(*(pres.entries[i] for i in combo))))
+                expected.setdefault(target, []).append(combo)
+            assert list(fibers_of_degree(pres, d).items()) == list(expected.items())
 
 
 class TestNormalForm:
