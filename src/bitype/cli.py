@@ -60,7 +60,53 @@ def _emit(doc, human_lines=None, human=False):
         for line in human_lines:
             print(line)
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    The stdlib encodes any indented document with its pure-Python encoder,
+    one call per value.  This writer has the same layout but writes a list
+    of plain ints, such as an exponent vector, in one join.  It takes only
+    what the CLI emits: dicts with str keys, lists, tuples, str, int, bool
+    and None.  Anything else is a TypeError.
+    """
+    return _encode(doc, "\n")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, newline: str) -> str:
+    """One value of :func:`_dumps`; ``newline`` ends a line at this value's depth."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        # _quote raises the TypeError for a key that is not a str
+        body = [_quote(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            body = map(int.__repr__, value)
+        else:
+            body = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _cmd_gen(args) -> int:
@@ -359,10 +405,25 @@ def _run(args) -> int:
         return EXIT_GUARD
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses, built on its first call.
+
+    Not at import, which stays cheap.  Reuse is safe: each ``parse_args``
+    returns a fresh namespace, no action keeps state between calls, and
+    usage errors go to ``sys.stderr`` as it is at the time of the call.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

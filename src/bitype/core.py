@@ -40,6 +40,25 @@ def guard_cap(value: int | None, env_var: str, default: int) -> int:
     return cap
 
 
+def _integral(values, what: str) -> tuple[int, ...]:
+    """Values that are not all plain ints, as ints: integers only, never a bool.
+
+    ``int()`` would truncate 2.5 to 2 and read True as 1, so a malformed
+    input would build a different ideal instead of failing.
+    """
+    from operator import index  # only values that are not plain ints get here
+
+    out = []
+    for v in values:
+        if isinstance(v, bool):
+            raise ParameterRangeError(f"{what} {v!r} is a bool, not an integer")
+        try:
+            out.append(index(v))
+        except TypeError:
+            raise ParameterRangeError(f"{what} {v!r} is not an integer") from None
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """A partition of the variable set into n blocks of sizes m_1..m_n."""
@@ -47,7 +66,9 @@ class BlockStructure:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(m) for m in self.block_sizes)
+        sizes = tuple(self.block_sizes)
+        if not all(type(m) is int for m in sizes):
+            sizes = _integral(sizes, "block size")
         object.__setattr__(self, "block_sizes", sizes)
         if not sizes or any(m < 1 for m in sizes):
             raise ParameterRangeError(f"block sizes must be positive, got {sizes}")
@@ -98,21 +119,6 @@ def _require_same_structure(a, b):
         )
 
 
-def _integral(entries: tuple) -> tuple[int, ...]:
-    """Exponents that are not plain ints, as ints: integers only, never a bool."""
-    from operator import index  # only values that are not plain ints get here
-
-    out = []
-    for e in entries:
-        if isinstance(e, bool):
-            raise ParameterRangeError(f"exponent {e!r} is a bool, not an integer")
-        try:
-            out.append(index(e))
-        except TypeError:
-            raise ParameterRangeError(f"exponent {e!r} is not an integer") from None
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Monomial:
     """A monomial as a nonnegative integer exponent vector."""
@@ -123,7 +129,7 @@ class Monomial:
     def __post_init__(self):
         entries = tuple(self.entries)
         if not all(type(e) is int for e in entries):
-            entries = _integral(entries)
+            entries = _integral(entries, "exponent")
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.blocks.n_vars:
             raise StructureError(
@@ -185,7 +191,9 @@ class PrimeSupport:
     indices: frozenset[int]
 
     def __post_init__(self):
-        idx = frozenset(int(k) for k in self.indices)
+        idx = frozenset(self.indices)
+        if not all(type(k) is int for k in idx):
+            idx = frozenset(_integral(idx, "variable index"))
         object.__setattr__(self, "indices", idx)
         if not idx or not all(0 <= k < self.blocks.n_vars for k in idx):
             raise ParameterRangeError(f"support must be a nonempty subset, got {set(idx)}")

@@ -5,14 +5,16 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bitype
+from bitype import cli
 from bitype.cli import main
 
 
@@ -127,6 +129,32 @@ class TestInvariants:
         )
         assert code == 4
         assert json.loads(out)["error"]["type"] == "guard"
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("--blocks", "2,2,2", "--t", "3", "--s", "2"),
+                "d2f4f13674f2a2c65611c7464af553e35ecc34b84167743d2686a9b0ef142992",
+            ),
+            (
+                ("--blocks", "2,2", "--t", "8", "--s", "2"),
+                "0b13680a04c4d45071148c4e01303d315de95cad9cc896bcbf088ab3d52ed7a6",
+            ),
+            (
+                ("--blocks", "1,3,1", "--t", "5", "--s", "3"),
+                "37b6cc7de27f6a0adb3be8faad217fddb15e8525a7b09ae263036c1b34ecf85b",
+            ),
+            (
+                ("--blocks", "3,3", "--t", "5", "--s", "2", "--human"),
+                "7c0152434a1be0db696b7a3fa3ecf4223029adf4e4dffa47ce41ce130f75bd81",
+            ),
+        ],
+    )
+    def test_document_is_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "invariants", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestAss:
@@ -291,6 +319,33 @@ class TestSortCheck:
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("--blocks", "2,2", "--t", "11", "--s", "3"),
+                "f0c3ad1fe40ed55a6d95e2d4d4295b83e37d44d82fab9c57c7d39d2c1ec2598f",
+            ),
+            (
+                ("--blocks", "2,3", "--t", "4", "--s", "2"),
+                "608c0b40a24eacb843e3865d4f482970c116eaa5376581df8f8f68a0d75614fe",
+            ),
+            (
+                # the pair guard trips, so the document carries a guardNote
+                ("--blocks", "2,2", "--t", "4", "--s", "2", "--max-pairs", "10"),
+                "496e11af40d43daeb5b8e0a0a8f221b7656f21005c3ac16246fcc6b48b10df07",
+            ),
+            (
+                ("--blocks", "1,3,1", "--t", "5", "--s", "3", "--human"),
+                "220a50d41684dff5afe792c6c2e3fca7a43e41b83be2c98a2475cbed34d8ffc7",
+            ),
+        ],
+    )
+    def test_plain_document_is_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "sort-check", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("value", ["1", "0", "-3"])
     def test_max_degree_below_two_is_a_usage_error(self, capsys, value):
         # below degree 2 there is no fiber to check, so no evidence to report
@@ -388,6 +443,32 @@ class TestGraph:
     def test_low_degree_rejected(self, capsys):
         code, out, _ = run(capsys, "graph", "--blocks", "2,2", "--t", "2")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("--blocks", "2,2", "--t", "4"),
+                "2d6b536990850d3b93822f1d4df7276001f1f615c0055dd1fd2b7bba450bc4eb",
+            ),
+            (
+                ("--blocks", "2,2", "--edge-ideal"),
+                "dfa364a320f50977a201b7129f62f30e848b29fc4658a853be76a5ebfcca5835",
+            ),
+            (
+                ("--blocks", "2,2,2", "--t", "3", "--mode", "consecutive", "--ordered"),
+                "139ac7cf1d39c3ae9e8b350cbae1e4fe682da3759d72ba2eb333ba86d4b61a56",
+            ),
+            (
+                ("--blocks", "3,1", "--t", "4"),
+                "18ca6e7fc663b47e64b19466bd0905277ed68bf3f2d155e7e97c421507c2f179",
+            ),
+        ],
+    )
+    def test_document_is_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "graph", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unwritable_dot_path_is_a_range_error(self, tmp_path):
         target = tmp_path / "missing" / "g.dot"
@@ -489,6 +570,114 @@ class TestRecursionLimit:
         error = json.loads(out)["error"]
         assert error["type"] == "guard"
         assert f"{n_vars} variables" in error["message"]
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028é😀')))
+_INTS = st.one_of(st.integers(), st.integers(-(2**80), 2**80))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _INTS, _TEXT, st.lists(st.one_of(_INTS, st.booleans()))
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestWriter:
+    @given(_DOCUMENTS)
+    @example([1, True, -2, False, 2**70])
+    @example({"": {}, "a": [], "b": (), "\u00e9\"\\\n": ("x", None, (1, 2))})
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_stdlib(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_bools_in_an_int_list_stay_bools(self):
+        assert cli._dumps([1, True, 0, False]) == "[\n  1,\n  true,\n  0,\n  false\n]"
+
+    @pytest.mark.parametrize(
+        "doc", [1.5, {"a": [0, 0.0]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {None: 1}}]
+    )
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_cli_examples(dot_path):
+    """The argv of every ``bitype`` example in the README's CLI section but the full report."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)[1:]
+        if argv and argv[:3] != ["report", "--grid", "full"]:
+            examples.append([str(dot_path) if a == "graph.dot" else a for a in argv])
+    return examples
+
+
+class TestParserReuse:
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        build_parser, built = cli.build_parser, []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        codes = [
+            main(["gen", "--blocks", "2,2", "--t", "2", "--s", "2"]),
+            main(["gen", "--blocks", "2,2"]),
+            main(["betti", "--blocks", "2,2", "--t", "2", "--s", "2", "--human"]),
+            main(["gen", "--blocks", "2,2", "--t", "4", "--s", "2"]),
+        ]
+        capsys.readouterr()
+        assert codes == [0, 2, 0, 0]
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+
+    def test_in_process_sequence_matches_fresh_processes(self, capsys, tmp_path):
+        examples = readme_cli_examples(tmp_path / "graph.dot")
+        assert len(examples) == 9
+        usage = ["gen", "--blocks", "2,2"]
+        guard = ["betti", "--blocks", "2,2", "--t", "4", "--s", "2", "--max-box", "3"]
+        sequence = [usage, *examples, *(argv + ["--human"] for argv in examples), guard, *examples]
+        expected = {}
+        for argv in sequence:
+            code, out, err = run(capsys, *argv)
+            key = tuple(argv)
+            if key not in expected:
+                expected[key] = run_process(*argv)
+            assert (code, out, err) == expected[key], argv
+        assert {expected[tuple(usage)][0], expected[tuple(guard)][0]} == {2, 4}
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import bitype.cli\n"
+            "after_import = len(built)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    bitype.cli.main(['gen', '--blocks', '2,2', '--t', '2', '--s', '2'])\n"
+            "print(after_import, len(built) > 0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bitype.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "True"]
 
 
 _GUARD_FLAGS = {

@@ -19,7 +19,7 @@ from bitype import (
     make_params,
     minimalize,
 )
-from bitype.core import arrangements, run_representatives, symmetric_runs
+from bitype.core import PrimeSupport, arrangements, run_representatives, symmetric_runs
 from conftest import asymmetric_ideals, bitype_instances, gen_set, mono
 
 
@@ -250,6 +250,21 @@ class TestValidation:
 
         m = Monomial(BlockStructure((2,)), (Three(), 0))
         assert m.entries == (3, 0) and type(m.entries[0]) is int
+
+    def test_non_integer_block_size_is_not_truncated(self):
+        # int() read (2.5, True) as the block sizes (2, 1)
+        with pytest.raises(ParameterRangeError, match="block size 2.5 is not an integer"):
+            BlockStructure((2.5, True))
+
+    def test_non_integer_block_size_from_dict(self):
+        # int() truncated the block to 2 variables and built (x11)
+        with pytest.raises(ParameterRangeError, match="block size 2.7"):
+            MonomialIdeal.from_dict({"blocks": [2.7], "gens": [[1, 0]]})
+
+    def test_non_integer_prime_index_is_not_truncated(self):
+        # int() collapsed {1.9, True} to the support {1}
+        with pytest.raises(ParameterRangeError, match="variable index"):
+            PrimeSupport(BlockStructure((2, 2)), {1.9, True})
 
     def test_wrong_length(self, b22):
         with pytest.raises(StructureError):
