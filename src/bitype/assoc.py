@@ -106,7 +106,7 @@ def associated_primes_oracle(
             if mask >= 0 and (mask not in raw or image < raw[mask]):
                 raw[mask] = image
     out: dict[PrimeSupport, Monomial] = {}
-    for mask in sorted(raw, key=lambda m: (bin(m).count("1"), _mask_bits(m))):
+    for mask in sorted(raw, key=lambda m: (m.bit_count(), _mask_bits(m))):
         support = PrimeSupport(ideal.blocks, frozenset(_mask_bits(mask)))
         out[support] = Monomial(ideal.blocks, raw[mask])
     return out

@@ -4,8 +4,11 @@ A vertex cover of a monomial ideal is a variable set meeting every minimal
 generator; the cover number h is the least cardinality of a cover.  For the
 quotient by a bi-type ideal the closed forms are dim = N - min(m_i) in the
 low-degree regime and N - 1 in the top regime t = s*N - r, r = 1..s-1; the
-oracle route is exhaustive cover enumeration, dim = N - h.
+oracle route is the minimal vertex covers, subsets walked by size, and
+dim = N - h.
 """
+
+from itertools import combinations
 
 from .builders import IdealParameters
 from .core import MonomialIdeal, guard_cap
@@ -25,7 +28,7 @@ def _support_masks(ideal: MonomialIdeal) -> list[int]:
                 m |= bit
         raw.add(m)
     minimal = []
-    for m in sorted(raw, key=lambda x: bin(x).count("1")):
+    for m in sorted(raw, key=int.bit_count):
         if not any(k & m == k for k in minimal):
             minimal.append(m)
     return minimal
@@ -40,10 +43,13 @@ def is_vertex_cover(ideal: MonomialIdeal, indices) -> bool:
 
 
 def minimal_vertex_covers(ideal: MonomialIdeal, max_vars: int | None = None) -> list[frozenset[int]]:
-    """All inclusion-minimal vertex covers, by exhaustive subset enumeration.
+    """All inclusion-minimal vertex covers, ordered by size, then as sorted tuples.
 
-    Enumerates subsets of the union of generator supports; a cover is
-    minimal when dropping any one element uncovers some generator.
+    Walks the subsets of the union of generator supports by size, each size
+    in lexicographic order, and keeps a cover unless it contains a cover
+    kept before it.  That test is exact: a cover that properly contains a
+    cover contains a minimal one of smaller size, which was kept earlier,
+    and a kept cover never contains another of its own size.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("vertex covers need a nonzero, proper ideal")
@@ -57,30 +63,14 @@ def minimal_vertex_covers(ideal: MonomialIdeal, max_vars: int | None = None) -> 
         raise SizeGuardError(
             f"{len(verts)} support variables exceed the enumeration cap {cap}"
         )
-
-    def covers(w: int) -> bool:
-        return all(m & w for m in masks)
-
-    found = []
-    for sub in range(1, 1 << len(verts)):
-        w = 0
-        for pos, k in enumerate(verts):
-            if (sub >> pos) & 1:
-                w |= 1 << k
-        if not covers(w):
-            continue
-        minimal = True
-        probe = w
-        while probe:
-            bit = probe & -probe
-            if covers(w ^ bit):
-                minimal = False
-                break
-            probe ^= bit
-        if minimal:
-            found.append(frozenset(k for k in verts if (w >> k) & 1))
-    found.sort(key=lambda f: (len(f), tuple(sorted(f))))
-    return found
+    bits = [1 << k for k in verts]
+    kept: list[int] = []
+    for size in range(1, len(bits) + 1):
+        for sub in combinations(bits, size):
+            w = sum(sub)
+            if all(m & w for m in masks) and not any(c & w == c for c in kept):
+                kept.append(w)
+    return [frozenset(k for k in range(w.bit_length()) if (w >> k) & 1) for w in kept]
 
 
 def cover_number(ideal: MonomialIdeal, max_vars: int | None = None) -> int:

@@ -63,10 +63,10 @@ class KoszulComplex:
                 sub = (sub - 1) & facet
         if not seen:
             return []
-        top = max(bin(f).count("1") for f in seen)
+        top = max(f.bit_count() for f in seen)
         grouped: list[list[int]] = [[] for _ in range(top + 1)]
         for f in seen:
-            grouped[bin(f).count("1")].append(f)
+            grouped[f.bit_count()].append(f)
         for bucket in grouped:
             bucket.sort()
         return grouped
@@ -82,7 +82,7 @@ class KoszulComplex:
 def _complex_at(entries: tuple[int, ...], masks: list[int]) -> KoszulComplex:
     # keep only maximal masks; the rest are their subsets
     maximal: list[int] = []
-    for m in sorted(set(masks), key=lambda x: (-bin(x).count("1"), x)):
+    for m in sorted(set(masks), key=lambda x: (-x.bit_count(), x)):
         if not any(m | f == f for f in maximal):
             maximal.append(m)
     maximal.sort()
@@ -137,7 +137,7 @@ def _relative_faces(facets: tuple[int, ...], apex: int, top: int) -> list[list[i
             continue
         sub = facet
         while sub:
-            size = bin(sub).count("1")
+            size = sub.bit_count()
             if sub not in grouped[size] and not any(sub | g == g for g in star):
                 grouped[size].add(sub)
             sub = (sub - 1) & facet
@@ -158,7 +158,7 @@ def reduced_homology_ranks(complex_: KoszulComplex) -> dict[int, int]:
     facets = complex_.facets
     if not facets:
         return {}
-    top = max(bin(f).count("1") for f in facets)
+    top = max(f.bit_count() for f in facets)
     ranks = dict.fromkeys(range(-1, top), 0)
     if top == 0:
         ranks[-1] = 1

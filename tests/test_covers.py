@@ -1,8 +1,20 @@
 """Vertex covers and the dimension/unmixedness formulas against enumeration."""
 
+import inspect
+from itertools import combinations
+
 import pytest
 
-from bitype import MonomialIdeal, ParameterRangeError, SizeGuardError, bitype_ideal, make_params
+from bitype import (
+    BlockStructure,
+    Monomial,
+    MonomialIdeal,
+    ParameterRangeError,
+    SizeGuardError,
+    bitype_ideal,
+    make_params,
+)
+from bitype import covers as covers_module
 from bitype.covers import (
     cover_number,
     dim_formula,
@@ -14,6 +26,7 @@ from bitype.covers import (
     regularity_formula,
     unmixed_formula,
 )
+from conftest import asymmetric_ideals, bitype_instances, ordered_walk_ideals
 
 
 class TestCoverPredicate:
@@ -79,6 +92,105 @@ class TestMinimalCovers:
             minimal_vertex_covers(MonomialIdeal.zero(b22))
         with pytest.raises(ParameterRangeError):
             minimal_vertex_covers(MonomialIdeal.unit_ideal(b22))
+
+
+def reference_covers(ideal: MonomialIdeal) -> list[frozenset[int]]:
+    """Minimal vertex covers by brute force over every variable subset.
+
+    Covering is read off the generators' entries; a cover is minimal when
+    removing any one element uncovers some generator.
+    """
+    supports = {frozenset(k for k, e in enumerate(g.entries) if e) for g in ideal.gens}
+    n_vars = ideal.blocks.n_vars
+    subsets = [frozenset(w) for size in range(n_vars + 1) for w in combinations(range(n_vars), size)]
+    cover_sets = {w for w in subsets if all(w & g for g in supports)}
+    found = [w for w in cover_sets if not any(w - {k} in cover_sets for k in w)]
+    return sorted(found, key=lambda f: (len(f), tuple(sorted(f))))
+
+
+def perfect_matching(edges: int) -> MonomialIdeal:
+    """The edge ideal of ``edges`` disjoint edges, one block per edge: 2^edges minimal covers."""
+    blocks = BlockStructure((2,) * edges)
+    gens = []
+    for i in range(edges):
+        entries = [0] * (2 * edges)
+        entries[2 * i] = entries[2 * i + 1] = 1
+        gens.append(Monomial(blocks, tuple(entries)))
+    return MonomialIdeal.from_generators(blocks, gens)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n_vars", range(1, 7))
+    def test_bitype_instances(self, n_vars):
+        # every instance: covers do not depend on the lcm box
+        for ideal in bitype_instances(n_vars, box_cap=10**9):
+            assert minimal_vertex_covers(ideal) == reference_covers(ideal), ideal
+
+    def test_asymmetric_ideals(self):
+        for ideal in asymmetric_ideals():
+            assert minimal_vertex_covers(ideal) == reference_covers(ideal), ideal
+
+    @pytest.mark.parametrize("n_vars", range(2, 5))
+    def test_ordered_walk_ideals(self, n_vars):
+        for ideal in ordered_walk_ideals(n_vars):
+            assert minimal_vertex_covers(ideal) == reference_covers(ideal), ideal
+
+    @pytest.mark.parametrize("edges", range(2, 6))
+    def test_perfect_matchings(self, edges):
+        ideal = perfect_matching(edges)
+        found = minimal_vertex_covers(ideal)
+        assert len(found) == 2**edges
+        assert found == reference_covers(ideal)
+
+
+def covers_from(source: str):
+    """``minimal_vertex_covers`` compiled from a version of the covers module source."""
+    namespace = {"__name__": "bitype.covers", "__package__": "bitype"}
+    exec(compile(source, covers_module.__file__, "exec"), namespace)
+    return namespace["minimal_vertex_covers"]
+
+
+def mutant_covers(old: str, new: str):
+    """``minimal_vertex_covers`` with one fragment of its source replaced."""
+    source = inspect.getsource(covers_module)
+    assert source.count(old) == 1, old
+    return covers_from(source.replace(old, new))
+
+
+# name: (fragment of minimal_vertex_covers, its replacement)
+COVER_MUTATIONS = {
+    # every cover is kept, minimal or not
+    "containment test": (
+        "if all(m & w for m in masks) and not any(c & w == c for c in kept):",
+        "if all(m & w for m in masks):",
+    ),
+    # the whole support is kept first, and no smaller cover contains it
+    "largest sizes first": (
+        "for size in range(1, len(bits) + 1):",
+        "for size in range(len(bits), 0, -1):",
+    ),
+}
+
+MUTATION_IDEALS = [
+    bitype_ideal(make_params((2, 2), 3, 2)),
+    bitype_ideal(make_params((2, 3), 5, 2)),
+    perfect_matching(3),
+]
+
+
+class TestCoverMutations:
+    """Each broken rule of the size walk disagrees with the brute-force reference."""
+
+    @pytest.mark.parametrize("name", COVER_MUTATIONS)
+    def test_mutant_disagrees(self, name):
+        mutant = mutant_covers(*COVER_MUTATIONS[name])
+        for ideal in MUTATION_IDEALS:
+            assert mutant(ideal) != reference_covers(ideal), ideal
+
+    def test_unmutated_source_agrees(self):
+        walk = covers_from(inspect.getsource(covers_module))
+        for ideal in MUTATION_IDEALS:
+            assert walk(ideal) == reference_covers(ideal), ideal
 
 
 class TestDimension:

@@ -54,6 +54,11 @@ def test_csv_shape_and_determinism():
     assert timed.splitlines()[0].endswith(",millis")
 
 
+def test_full_grid_csv_is_pinned():
+    text = rows_to_csv(report_grid("full"))
+    assert hashlib.md5(text.encode()).hexdigest() == "90eef3fe747bb3a96a42760c0039e47f"
+
+
 def test_small_grid_csv_is_pinned():
     text = rows_to_csv(report_grid("small"))
     digest = hashlib.sha256(text.encode()).hexdigest()
