@@ -8,12 +8,14 @@ is generated by all degree-t monomials with entries <= s that touch every
 block; the direct characterization is the production path and the literal
 composition sum is kept as a cross-check oracle.
 
-The production builder walks the flat variables once, depth first, and
-only takes values that still complete to a generator, so its work is
-proportional to its output.  Its rows come out distinct, of degree t and in
-lexicographic order -- the canonical minimal generating set -- and are
-wrapped without minimalizing or validating them again.  It recurses once per
-variable, so about a thousand variables reach Python's recursion limit.
+The production builder walks the flat variables depth first and only takes
+values that still complete to a generator.  What completes a row from the
+first variable of a block on depends only on that variable and the degree
+left, so each such block tail is built once and shared.  Its rows come out
+distinct, of degree t and in lexicographic order -- the canonical minimal
+generating set -- and are stored without minimalizing or validating them
+again.  Its first descent recurses once per variable, so about a thousand
+variables reach Python's recursion limit.
 """
 
 from dataclasses import dataclass
@@ -102,7 +104,7 @@ def veronese_type_ideal(blocks: BlockStructure, block_index: int, degree: int, c
 def bitype_ideal(params: IdealParameters) -> MonomialIdeal:
     """Direct characterization: degree t, entries <= s, every block touched.
 
-    One depth-first recursion over the flat variables in index order picks
+    A depth-first recursion over the flat variables in index order picks
     each entry from the values that still complete to a generator: at least
     the degree that the later variables cannot hold at cap s, at least 1 at
     the last variable of a block nothing has touched yet, at most s, and at
@@ -112,9 +114,16 @@ def bitype_ideal(params: IdealParameters) -> MonomialIdeal:
     lexicographic order, so they already are the canonical minimal
     generating set: nothing is minimalized, sorted or validated again.
 
-    The recursion is one frame deep per variable, so a block structure with
-    about as many variables as the recursion limit raises RecursionError
-    (the CLI reports it as a guard).
+    No block is touched yet at a block's first variable, so the completions
+    from there depend only on that variable and the degree left.  They are
+    built once into a memo keyed on that pair, and each row is a head
+    within one block plus a memoized tail.  The helpers are module functions
+    that get the plan and the memo as arguments, not closures that call
+    each other, so a build leaves no reference cycle for the collector.
+
+    The first descent is one frame deep per variable, so a block structure
+    with about as many variables as the recursion limit raises
+    RecursionError (the CLI reports it as a guard).
     """
     blocks, t, s = params.blocks, params.t, params.s
     last = blocks.n_vars - 1
@@ -123,21 +132,36 @@ def bitype_ideal(params: IdealParameters) -> MonomialIdeal:
     for i, m in enumerate(blocks.block_sizes):
         later += [blocks.n_blocks - 1 - i] * m
         ends += [False] * (m - 1) + [True]
-    rows: list[tuple[int, ...]] = []
+    plan = (s, last, room, later, ends)
+    return MonomialIdeal._from_rows(blocks, _block_tails(plan, {}, 0, t))
 
-    def rec(k, rem, touched, prefix):
-        if k == last:
-            rows.append(prefix + (rem,))
-            return
-        lo = rem - room[k]
-        if lo < 1 and ends[k] and not touched:
-            lo = 1
-        hi = min(s, rem - later[k])
-        for v in range(max(lo, 0), hi + 1):
-            rec(k + 1, rem - v, not ends[k] and (touched or v > 0), prefix + (v,))
 
-    rec(0, t, False, ())
-    return MonomialIdeal._from_rows(blocks, rows)
+def _block_tails(plan, memo, k, rem):
+    """The completions from the first variable k of a block, with degree rem left."""
+    key = (k, rem)
+    tails = memo.get(key)
+    if tails is None:
+        tails = memo[key] = []
+        _complete(plan, memo, k, rem, False, (), tails)
+    return tails
+
+
+def _complete(plan, memo, k, rem, touched, prefix, out):
+    """Append to ``out`` each completion of ``prefix``, which ends before variable k."""
+    s, last, room, later, ends = plan
+    if k == last:
+        out.append(prefix + (rem,))
+        return
+    lo = rem - room[k]
+    if lo < 1 and ends[k] and not touched:
+        lo = 1
+    hi = min(s, rem - later[k])
+    for v in range(max(lo, 0), hi + 1):
+        head = prefix + (v,)
+        if ends[k]:
+            out += [head + tail for tail in _block_tails(plan, memo, k + 1, rem - v)]
+        else:
+            _complete(plan, memo, k + 1, rem - v, touched or v > 0, head, out)
 
 
 def bitype_ideal_by_compositions(params: IdealParameters) -> MonomialIdeal:

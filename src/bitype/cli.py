@@ -4,7 +4,8 @@ Subcommands: gen, invariants, ass, betti, sort-check, graph, report.
 JSON on stdout is the primary output (CSV for grid reports, readable text
 behind --human); identical invocations yield byte-identical documents.
 Exit codes: 0 ok, 1 stdout closed early (broken pipe), 2 usage, 3 range
-error, 4 size-guard error.
+error, 4 size-guard error.  Each subcommand imports the oracle layers it
+runs, so importing this module loads none of them.
 """
 
 import argparse
@@ -12,11 +13,9 @@ import json
 import os
 import sys
 
-from . import assoc, covers, homology, report, sorting
 from .builders import bitype_ideal, bitype_ideal_by_compositions, make_params
 from .core import BlockStructure
 from .errors import BitypeError, ParameterRangeError, SizeGuardError
-from .graphs import edge_ideal, generalized_graph_ideal, strong_block_graph, to_dot
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -129,6 +128,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from . import covers
+
     params = _params(args)
     ideal = bitype_ideal(params)
     covers_list = covers.minimal_vertex_covers(ideal, args.max_cover_vars)
@@ -167,6 +168,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_ass(args) -> int:
+    from . import assoc
+
     params = _params(args)
     formula = None
     try:
@@ -198,6 +201,8 @@ def _cmd_ass(args) -> int:
 
 
 def _cmd_betti(args) -> int:
+    from . import covers, homology
+
     params = _params(args)
     ideal = bitype_ideal(params)
     table = homology.betti_table(ideal, args.max_box)
@@ -220,6 +225,8 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_sort_check(args) -> int:
+    from . import sorting
+
     params = _params(args)
     violation = sorting.sortable_violation(params)
     doc = {
@@ -255,6 +262,8 @@ def _cmd_sort_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .graphs import edge_ideal, generalized_graph_ideal, strong_block_graph, to_dot
+
     blocks = BlockStructure(_parse_blocks(args.blocks))
     graph = strong_block_graph(blocks, args.mode)
     if args.edge_ideal:
@@ -278,7 +287,7 @@ def _cmd_graph(args) -> int:
         "spanBlocks": not args.no_span,
         "edgeIdeal": bool(args.edge_ideal),
         "edges": [[blocks.var_name(u), blocks.var_name(w)] for u, w in graph.edge_pairs()],
-        "generators": [list(g.entries) for g in ideal.gens],
+        "generators": [list(row) for row in ideal.rows],
         "pretty": ideal.pretty_gens(),
         "equalsLStar": equals,
     }
@@ -298,6 +307,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import report
+
     rows = report.report_grid(args.grid)
     if args.human:
         for row in rows:

@@ -5,6 +5,8 @@ variables, and a monomial is stored as its flat exponent vector of length
 N = sum(m_i).  Ideals are kept as their unique minimal (antichain) generating
 set in a canonical order -- lexicographic on the flat exponent entries -- so
 that equality, hashing, JSON output and golden-file diffs are deterministic.
+An ideal stores those generators as exponent rows, plain int tuples; the
+``Monomial`` objects are built only when a caller asks for them.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -208,17 +210,27 @@ class PrimeSupport:
         return f"PrimeSupport({', '.join(self.names())})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonomialIdeal:
-    """A monomial ideal, stored as its minimal generators in canonical order.
+    """A monomial ideal, stored as the exponent rows of its minimal generators.
 
-    The empty generator list is the zero ideal; the single all-zero vector is
-    the unit ideal.  Use :meth:`from_generators` unless the input is already
-    a canonically sorted antichain.
+    ``rows`` holds the canonical generators as int tuples in lexicographic
+    order; equality and hashing read ``(blocks, rows)``.  The empty row list
+    is the zero ideal; the single all-zero row is the unit ideal.  ``gens``,
+    the same generators as ``Monomial`` objects, is built on first access.
+    Use :meth:`from_generators` unless the input is already a canonically
+    sorted antichain.
     """
 
     blocks: BlockStructure
-    gens: tuple[Monomial, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, blocks: BlockStructure, gens):
+        """The ideal of monomials that already are its canonical generators, kept as given."""
+        gens = tuple(gens)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "rows", tuple(g.entries for g in gens))
+        object.__setattr__(self, "gens", gens)
 
     @classmethod
     def from_generators(cls, blocks: BlockStructure, gens) -> "MonomialIdeal":
@@ -248,41 +260,48 @@ class MonomialIdeal:
         """The ideal of rows that already are its canonical generators.
 
         ``rows`` must be distinct int tuples of length N that form an
-        antichain in lexicographic order; each becomes a ``Monomial``
-        without being validated again.
+        antichain in lexicographic order; they are stored as they are.
         """
-        new, put = object.__new__, object.__setattr__
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "blocks", blocks)
+        object.__setattr__(ideal, "rows", tuple(rows))
+        return ideal
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The generators as monomials, in row order, not validated again."""
+        new, put, blocks = object.__new__, object.__setattr__, self.blocks
         gens = []
-        for row in rows:
+        for row in self.rows:
             g = new(Monomial)
             put(g, "blocks", blocks)
             put(g, "entries", row)
             gens.append(g)
-        return cls(blocks, tuple(gens))
+        return tuple(gens)
 
     @classmethod
     def zero(cls, blocks: BlockStructure) -> "MonomialIdeal":
-        return cls(blocks, ())
+        return cls._from_rows(blocks, ())
 
     @classmethod
     def unit_ideal(cls, blocks: BlockStructure) -> "MonomialIdeal":
-        return cls(blocks, (Monomial.unit(blocks),))
+        return cls._from_rows(blocks, ((0,) * blocks.n_vars,))
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.rows
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].total_degree == 0
+        return len(self.rows) == 1 and not any(self.rows[0])
 
     def __len__(self):
-        return len(self.gens)
+        return len(self.rows)
 
     @cached_property
     def _table(self):
-        flat = tuple(chain.from_iterable(g.entries for g in self.gens))
-        return kernels.make_table(flat, len(self.gens), self.blocks.n_vars)
+        flat = tuple(chain.from_iterable(self.rows))
+        return kernels.make_table(flat, len(self.rows), self.blocks.n_vars)
 
     def contains(self, f: Monomial) -> bool:
         """Ideal membership: some minimal generator divides f."""
@@ -295,16 +314,16 @@ class MonomialIdeal:
         quots = [
             Monomial(
                 self.blocks,
-                tuple(a - min(a, b) for a, b in zip(g.entries, f.entries)),
+                tuple(a - min(a, b) for a, b in zip(row, f.entries)),
             )
-            for g in self.gens
+            for row in self.rows
         ]
         return MonomialIdeal.from_generators(self.blocks, quots)
 
     def lcm_of_generators(self) -> Monomial:
         if self.is_zero:
             return Monomial.unit(self.blocks)
-        columns = zip(*(g.entries for g in self.gens))
+        columns = zip(*self.rows)
         return Monomial(self.blocks, tuple(map(max, columns)))
 
     def lcm_box(self, cap: int, name: str) -> tuple[int, ...]:
@@ -320,16 +339,16 @@ class MonomialIdeal:
         if self.is_zero or self.is_unit:
             return None
         idx = []
-        for g in self.gens:
-            if g.total_degree != 1:
+        for row in self.rows:
+            if sum(row) != 1:
                 return None
-            idx.append(g.support()[0])
+            idx.append(row.index(1))
         return PrimeSupport(self.blocks, frozenset(idx))
 
     def to_dict(self) -> dict:
         return {
             "blocks": list(self.blocks.block_sizes),
-            "gens": [list(g.entries) for g in self.gens],
+            "gens": [list(row) for row in self.rows],
         }
 
     @classmethod
@@ -372,7 +391,7 @@ def symmetric_runs(ideal: MonomialIdeal) -> list[tuple[int, int]]:
     fixed by each of them.  The runs of a bi-type ideal are unions of whole
     blocks; an ideal without symmetry has runs of length one.
     """
-    rows = [g.entries for g in ideal.gens]
+    rows = ideal.rows
     gens = set(rows)
     runs = []
     start = 0

@@ -8,7 +8,7 @@ oracle route is the minimal vertex covers, subsets walked by size, and
 dim = N - h.
 """
 
-from itertools import combinations
+from itertools import combinations, compress
 
 from .builders import IdealParameters
 from .core import MonomialIdeal, guard_cap
@@ -20,13 +20,7 @@ DEFAULT_COVER_VARS = 20
 def _support_masks(ideal: MonomialIdeal) -> list[int]:
     """Inclusion-minimal generator supports; covering only depends on these."""
     bits = [1 << k for k in range(ideal.blocks.n_vars)]
-    raw = set()
-    for g in ideal.gens:
-        m = 0
-        for bit, e in zip(bits, g.entries):
-            if e:
-                m |= bit
-        raw.add(m)
+    raw = {sum(compress(bits, row)) for row in ideal.rows}
     minimal = []
     for m in sorted(raw, key=int.bit_count):
         if not any(k & m == k for k in minimal):

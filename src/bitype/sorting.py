@@ -117,9 +117,8 @@ class ToricPresentation:
     index_of: dict[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(g.entries for g in self.ideal.gens)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "index_of", {e: i for i, e in enumerate(entries)})
+        object.__setattr__(self, "entries", self.ideal.rows)
+        object.__setattr__(self, "index_of", {e: i for i, e in enumerate(self.entries)})
 
     @property
     def generators(self) -> tuple[Monomial, ...]:

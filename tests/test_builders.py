@@ -1,5 +1,6 @@
 """Builders: worked generator sets, parameter validation, construction cross-check."""
 
+import gc
 import inspect
 from itertools import product
 
@@ -156,6 +157,17 @@ class TestDirectBuilder:
             params = make_params(blocks, t, s)
             assert bitype_ideal(params) == bitype_ideal_by_compositions(params), (blocks, t, s)
 
+    def test_build_leaves_no_cyclic_garbage(self):
+        params = make_params((3, 3, 3), 14, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            ideal = bitype_ideal(params)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(ideal) == 29916
+
     def test_two_blocks_of_four(self):
         params = make_params((4, 4), 8, 3)
         ideal = bitype_ideal(params)
@@ -181,8 +193,14 @@ def mutant_builder(old: str, new: str):
 BUILDER_MUTATIONS = {
     # a block's last variable may stay 0 although nothing in the block was touched
     "block-touch rule": ("if lo < 1 and ends[k] and not touched:", "if False:", ((2, 2), 2, 2)),
-    # a touch in one block counts for every later block
-    "touched reset": ("not ends[k] and (touched or v > 0)", "(touched or v > 0)", ((2, 2, 2), 3, 2)),
+    # every block tail starts as if its block were already touched
+    "touched reset": (
+        "_complete(plan, memo, k, rem, False, (), tails)",
+        "_complete(plan, memo, k, rem, True, (), tails)",
+        ((2, 2, 2), 3, 2),
+    ),
+    # block tails are shared between different remaining degrees
+    "tail key without degree": ("key = (k, rem)", "key = k", ((2, 2), 3, 2)),
     # the remainder no longer has to fit the later variables at cap s, so the
     # last variable can take more than s
     "cap floor": ("lo = rem - room[k]", "lo = 0", ((2, 2), 4, 1)),

@@ -211,6 +211,56 @@ class TestAsPrime:
         assert MonomialIdeal.unit_ideal(b22).as_prime_support() is None
 
 
+class TestRowsBackedIdeal:
+    """An ideal is its exponent rows; ``gens`` is built from them on demand."""
+
+    ROWS = ((1, 1, 2), (1, 2, 1), (2, 0, 2), (2, 1, 1), (2, 2, 0))
+
+    def test_constructions_are_equal(self):
+        blocks = BlockStructure((1, 2))
+        monomials = [Monomial(blocks, row) for row in self.ROWS]
+        built = [
+            MonomialIdeal(blocks, monomials),
+            MonomialIdeal._from_rows(blocks, self.ROWS),
+            MonomialIdeal.from_generators(blocks, reversed(monomials)),
+            bitype_ideal(make_params((1, 2), 4, 2)),
+        ]
+        for ideal in built:
+            assert ideal.rows == self.ROWS
+            assert ideal == built[0] and hash(ideal) == hash(built[0])
+
+    def test_gens_are_the_validated_monomials(self):
+        ideal = MonomialIdeal._from_rows(BlockStructure((1, 2)), self.ROWS)
+        assert ideal.gens == tuple(Monomial(ideal.blocks, row) for row in self.ROWS)
+        assert ideal.gens is ideal.gens
+
+    def test_constructor_keeps_the_given_monomials(self, b22):
+        gens = (mono(b22, 1, 0, 1, 0), mono(b22, 0, 1, 0, 1))
+        ideal = MonomialIdeal(b22, gens)
+        assert ideal.gens == gens and ideal.rows == ((1, 0, 1, 0), (0, 1, 0, 1))
+
+    def test_zero_and_unit(self, b22):
+        zero, unit = MonomialIdeal.zero(b22), MonomialIdeal.unit_ideal(b22)
+        assert zero.is_zero and not zero.is_unit and len(zero) == 0
+        assert unit.is_unit and not unit.is_zero and len(unit) == 1
+        assert unit.gens == (Monomial.unit(b22),)
+        assert zero == MonomialIdeal(b22, ()) and unit == MonomialIdeal(b22, unit.gens)
+        principal = MonomialIdeal._from_rows(b22, ((0, 0, 1, 0),))
+        assert not principal.is_unit and not principal.is_zero
+
+    def test_dict_and_repr_are_unchanged(self, b22):
+        ideal = bitype_ideal(make_params((2, 2), 2, 2))
+        assert ideal.to_dict() == {
+            "blocks": [2, 2],
+            "gens": [[0, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 1, 0]],
+        }
+        assert repr(ideal) == "MonomialIdeal(x12*x22, x12*x21, x11*x22, x11*x21)"
+        assert repr(MonomialIdeal.zero(b22)) == "MonomialIdeal(0)"
+        assert repr(MonomialIdeal.unit_ideal(b22)) == "MonomialIdeal(1)"
+        assert MonomialIdeal.zero(b22).to_dict() == {"blocks": [2, 2], "gens": []}
+        assert MonomialIdeal.unit_ideal(b22).to_dict() == {"blocks": [2, 2], "gens": [[0, 0, 0, 0]]}
+
+
 class TestSerialization:
     def test_roundtrip(self):
         ideal = bitype_ideal(make_params((2, 2), 4, 2))

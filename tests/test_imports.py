@@ -1,9 +1,14 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+importing the package and its CLI loads only the layers they need.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+``__init__.py`` is skipped by the unused-import check: its imports are the
+package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +41,21 @@ def test_no_unused_imports(path):
 def test_check_sees_an_unused_import():
     source = "import os\nfrom itertools import chain, product\nprint(os.sep, chain)\n"
     assert unused_imports(source) == ["product"]
+
+
+# Layers the CLI imports inside the subcommands that run them.
+LAZY = ("assoc", "covers", "homology", "report", "sorting", "graphs")
+
+
+def test_cli_import_leaves_subcommand_layers_unloaded():
+    code = (
+        "import sys, bitype, bitype.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('bitype'))))"
+    )
+    src = str(Path(bitype.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    ).stdout.split()
+    assert "bitype.cli" in out
+    assert [name for name in LAZY if f"bitype.{name}" in out] == []
