@@ -20,7 +20,7 @@ variables reach Python's recursion limit.
 
 from dataclasses import dataclass
 
-from .core import BlockStructure, Monomial, MonomialIdeal
+from .core import BlockStructure, MonomialIdeal, _minimal_rows
 from .errors import ParameterRangeError
 
 
@@ -191,9 +191,7 @@ def bitype_ideal_by_compositions(params: IdealParameters) -> MonomialIdeal:
         for i in range(n):
             partial = [head + tail for head in partial for tail in block_slice(i, q[i])]
         collected.update(partial)
-    return MonomialIdeal.from_generators(
-        blocks, (Monomial(blocks, v) for v in collected)
-    )
+    return MonomialIdeal._from_rows(blocks, _minimal_rows(collected))
 
 
 def make_params(block_sizes, t: int, s: int) -> IdealParameters:

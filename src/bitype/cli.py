@@ -54,8 +54,8 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
-def _emit(doc, human_lines=None, human=False):
-    if human and human_lines is not None:
+def _emit(doc, human_lines, human):
+    if human:
         for line in human_lines:
             print(line)
     else:
@@ -122,8 +122,8 @@ def _cmd_gen(args) -> int:
             "count": len(ideal),
         }
     )
-    human = [f"{len(ideal)} generators:"] + [f"  {p}" for p in ideal.pretty_gens()]
-    _emit(doc, human_lines=human, human=args.human)
+    human = [f"{len(ideal)} generators:"] + [f"  {p}" for p in doc["pretty"]]
+    _emit(doc, human, args.human)
     return EXIT_OK
 
 
@@ -163,7 +163,7 @@ def _cmd_invariants(args) -> int:
         f"unmixed: formula={doc['unmixedFormula']} oracle={doc['unmixedOracle']}",
         f"regularity formula: {doc['regFormula']}",
     ]
-    _emit(doc, human_lines=human, human=args.human)
+    _emit(doc, human, args.human)
     return EXIT_OK
 
 
@@ -196,7 +196,7 @@ def _cmd_ass(args) -> int:
         human.append("  (" + ", ".join(entry) + ")")
     if "agree" in doc:
         human.append(f"formula agrees with oracle: {doc['agree']}")
-    _emit(doc, human_lines=human, human=args.human)
+    _emit(doc, human, args.human)
     return EXIT_OK
 
 
@@ -220,7 +220,7 @@ def _cmd_betti(args) -> int:
         f"regularity: oracle={doc['regularity']} formula={doc['regularityFormula']}",
         "coarse table (ideal convention):",
     ] + [f"  beta_{e['i']},{e['j']} = {e['rank']}" for e in doc["coarse"]]
-    _emit(doc, human_lines=human, human=args.human)
+    _emit(doc, human, args.human)
     return EXIT_OK
 
 
@@ -257,7 +257,7 @@ def _cmd_sort_check(args) -> int:
         f"fibers checked: {doc.get('fibersChecked')}",
         f"violations: {doc.get('violations')}",
     ]
-    _emit(doc, human_lines=human, human=args.human)
+    _emit(doc, human, args.human)
     return EXIT_OK
 
 
@@ -302,7 +302,7 @@ def _cmd_graph(args) -> int:
         f"generators: {len(doc['generators'])}",
         f"matches the degree-capped block ideal: {equals}",
     ]
-    _emit(doc, human_lines=human, human=args.human)
+    _emit(doc, human, args.human)
     return EXIT_OK
 
 
@@ -340,11 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name, help_text):
         return sub.add_parser(name, help=help_text, parents=[shared])
 
-    def common(p, with_s=True):
+    def common(p):
         p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 2,2")
         p.add_argument("--t", type=int, required=True, help="generating degree")
-        if with_s:
-            p.add_argument("--s", type=int, required=True, help="exponent cap")
+        p.add_argument("--s", type=int, required=True, help="exponent cap")
 
     p_gen = add_command("gen", "construct the ideal")
     common(p_gen)

@@ -114,6 +114,27 @@ class BlockStructure:
         return f"x{i + 1}{k - self.offsets[i] + 1}"
 
 
+def _minimal_rows(rows) -> list[tuple[int, ...]]:
+    """The minimal generators of the ideal that the int-tuple rows generate, sorted.
+
+    Duplicates and multiples are dropped.  A strict divisor has strictly
+    smaller degree (equal-degree distinct vectors never divide), so each
+    row is compared only with the kept rows of earlier degree layers.
+    """
+    kept: list[tuple[int, ...]] = []
+    lower: list[tuple[int, ...]] = []
+    prev_degree = None
+    for v in sorted(set(rows), key=lambda e: (sum(e), e)):
+        degree = sum(v)
+        if degree != prev_degree:
+            lower = list(kept)
+            prev_degree = degree
+        if not any(all(a <= b for a, b in zip(k, v)) for k in lower):
+            kept.append(v)
+    kept.sort()
+    return kept
+
+
 def _require_same_structure(a, b):
     if a.blocks != b.blocks:
         raise StructureError(
@@ -235,25 +256,12 @@ class MonomialIdeal:
     @classmethod
     def from_generators(cls, blocks: BlockStructure, gens) -> "MonomialIdeal":
         """Minimalize: dedupe, drop multiples, sort canonically."""
-        vs = set()
+        rows = []
         for g in gens:
             if g.blocks != blocks:
                 raise StructureError("generator has a different block structure")
-            vs.add(g.entries)
-        # A strict divisor has strictly smaller degree (equal-degree distinct
-        # vectors never divide), so only earlier degree layers need scanning.
-        kept: list[tuple[int, ...]] = []
-        lower: list[tuple[int, ...]] = []
-        prev_degree = None
-        for v in sorted(vs, key=lambda e: (sum(e), e)):
-            degree = sum(v)
-            if degree != prev_degree:
-                lower = list(kept)
-                prev_degree = degree
-            if not any(all(a <= b for a, b in zip(k, v)) for k in lower):
-                kept.append(v)
-        kept.sort()
-        return cls._from_rows(blocks, kept)
+            rows.append(g.entries)
+        return cls._from_rows(blocks, _minimal_rows(rows))
 
     @classmethod
     def _from_rows(cls, blocks: BlockStructure, rows) -> "MonomialIdeal":
@@ -300,8 +308,7 @@ class MonomialIdeal:
 
     @cached_property
     def _table(self):
-        flat = tuple(chain.from_iterable(self.rows))
-        return kernels.make_table(flat, len(self.rows), self.blocks.n_vars)
+        return kernels.make_table(self.rows)
 
     def contains(self, f: Monomial) -> bool:
         """Ideal membership: some minimal generator divides f."""
@@ -311,14 +318,8 @@ class MonomialIdeal:
     def colon(self, f: Monomial) -> "MonomialIdeal":
         """The colon ideal by a monomial: generated by g / gcd(g, f)."""
         _require_same_structure(self, f)
-        quots = [
-            Monomial(
-                self.blocks,
-                tuple(a - min(a, b) for a, b in zip(row, f.entries)),
-            )
-            for row in self.rows
-        ]
-        return MonomialIdeal.from_generators(self.blocks, quots)
+        quots = [tuple(a - min(a, b) for a, b in zip(row, f.entries)) for row in self.rows]
+        return MonomialIdeal._from_rows(self.blocks, _minimal_rows(quots))
 
     def lcm_of_generators(self) -> Monomial:
         if self.is_zero:
@@ -373,13 +374,13 @@ def minimalize(blocks: BlockStructure, gens) -> MonomialIdeal:
 
 def ideal_sum(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
     _require_same_structure(left, right)
-    return MonomialIdeal.from_generators(left.blocks, left.gens + right.gens)
+    return MonomialIdeal._from_rows(left.blocks, _minimal_rows(left.rows + right.rows))
 
 
 def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
     _require_same_structure(left, right)
-    prods = [g * h for g in left.gens for h in right.gens]
-    return MonomialIdeal.from_generators(left.blocks, prods)
+    prods = [tuple(a + b for a, b in zip(g, h)) for g in left.rows for h in right.rows]
+    return MonomialIdeal._from_rows(left.blocks, _minimal_rows(prods))
 
 
 def symmetric_runs(ideal: MonomialIdeal) -> list[tuple[int, int]]:

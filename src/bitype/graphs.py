@@ -17,7 +17,7 @@ block-order variant via ``ordered=True``.
 
 from dataclasses import dataclass
 
-from .core import BlockStructure, Monomial, MonomialIdeal
+from .core import BlockStructure, Monomial, MonomialIdeal, _minimal_rows
 from .errors import ParameterRangeError
 
 ADJACENCY_MODES = ("all", "consecutive")
@@ -138,13 +138,13 @@ def generalized_graph_ideal(
 
 def edge_ideal(graph: LoopGraph) -> MonomialIdeal:
     """One degree-2 generator per edge or loop."""
-    gens = []
+    rows = []
     for u, w in graph.edge_pairs():
         entries = [0] * graph.blocks.n_vars
         entries[u] += 1
         entries[w] += 1
-        gens.append(Monomial(graph.blocks, tuple(entries)))
-    return MonomialIdeal.from_generators(graph.blocks, gens)
+        rows.append(tuple(entries))
+    return MonomialIdeal._from_rows(graph.blocks, _minimal_rows(rows))
 
 
 def to_dot(graph: LoopGraph) -> str:

@@ -1,8 +1,8 @@
 """The hot inner loops: generator-table scans, exact ranks, the sortability search.
 
-A generator table is ``count`` rows of ``width`` nonnegative ints, given
-flat.  Beside the rows it keeps, per coordinate ``k``, two lists of row
-bitsets (bit ``r`` stands for row ``r``):
+A generator table keeps the rows it is given, int tuples of ``width``
+nonnegative entries.  Beside them it keeps, per coordinate ``k``, two lists
+of row bitsets (bit ``r`` stands for row ``r``):
 
 * ``le[k][v]``: the rows with ``row[k] <= v``, for ``v`` below the column
   maximum (at or above it every row qualifies);
@@ -29,25 +29,24 @@ from itertools import product
 class GenTable:
     """Scan-oriented view of a minimal generating set."""
 
-    __slots__ = ("count", "width", "rows", "_full", "_top", "_le", "_eq")
+    __slots__ = ("width", "rows", "_full", "_top", "_le", "_eq")
 
-    def __init__(self, flat, count, width):
-        self.count = count
-        self.width = width
-        self.rows = [tuple(flat[r * width:(r + 1) * width]) for r in range(count)]
-        self._full = (1 << count) - 1
+    def __init__(self, rows):
+        self.width = len(rows[0]) if rows else 0
+        self.rows = rows
+        self._full = (1 << len(rows)) - 1
         self._top = []
         self._le = []
         self._eq = []
-        for k in range(width):
-            top = max((row[k] for row in self.rows), default=0)
+        for k in range(self.width):
+            top = max(row[k] for row in rows)
             eq = [0] * (top + 1)
-            for r, row in enumerate(self.rows):
+            for r, row in enumerate(rows):
                 eq[row[k]] |= 1 << r
             le = []
             below = 0
-            for rows in eq[:top]:
-                below |= rows
+            for hit in eq[:top]:
+                below |= hit
                 le.append(below)
             self._top.append(top)
             self._le.append(le)
@@ -142,9 +141,9 @@ def implementation_name() -> str:
     return "pure"
 
 
-def make_table(flat, count, width) -> GenTable:
-    """Generator table with contains / deficit_masks / colon_prime_mask / ass_scan."""
-    return GenTable(flat, count, width)
+def make_table(rows) -> GenTable:
+    """Generator table over ``rows``, kept as given: contains / deficit_masks / colon_prime_mask / ass_scan."""
+    return GenTable(rows)
 
 
 def rank_int_rows(rows) -> int:
@@ -200,7 +199,8 @@ def sortable_box_scan(block_sizes, t, s):
     in lexicographic order (last coordinate fastest), carrying only what
     decides the leaves below:
 
-    * the remaining degree and the parity of the prefix sum;
+    * the remaining degree (it starts at 2t, so its parity is that of the
+      prefix sum);
     * for the current block, its partial c-sum, the partial first-half sum,
       and the partial upper bound sum_k min(s, c_k) on a summand's block
       degree (the lower bound sum_k max(0, c_k - s) is the c-sum minus it);
@@ -234,12 +234,13 @@ def sortable_box_scan(block_sizes, t, s):
     c = [0] * n
     clean = set()
 
-    def rec(k, rem, odd, cb, ub, hi, tot_lo, tot_hi, bad, udeg):
+    def rec(k, rem, cb, ub, hi, tot_lo, tot_hi, bad, udeg):
         if k == n:
             return tuple(c) if bad or udeg != t else None
-        key = (k, rem, odd, cb, ub, hi, tot_lo, tot_hi, bad, udeg)
+        key = (k, rem, cb, ub, hi, tot_lo, tot_hi, bad, udeg)
         if key in clean:
             return None
+        odd = rem & 1
         tail = cap * (n - k - 1)
         lo_v = rem - tail if rem > tail else 0
         hi_v = cap if cap < rem else rem
@@ -262,20 +263,19 @@ def sortable_box_scan(block_sizes, t, s):
                 if ntot_lo + blocks_after[k] > t or ntot_hi + hi_after[k] < t:
                     continue
                 found = rec(
-                    k + 1, rem - v, odd ^ (v & 1), 0, 0, 0, ntot_lo,
+                    k + 1, rem - v, 0, 0, 0, ntot_lo,
                     ntot_hi if ntot_hi < t else t,
                     nbad or nub == 0 or nub == ncb, udeg + u,
                 )
             else:
-                found = rec(k + 1, rem - v, odd ^ (v & 1), ncb, nub, nhi,
-                            tot_lo, tot_hi, nbad, udeg + u)
+                found = rec(k + 1, rem - v, ncb, nub, nhi, tot_lo, tot_hi, nbad, udeg + u)
             if found is not None:
                 return found
         clean.add(key)
         return None
 
     try:
-        return rec(0, 2 * t, 0, 0, 0, 0, 0, 0, False, 0)
+        return rec(0, 2 * t, 0, 0, 0, 0, 0, False, 0)
     finally:
         # rec refers to itself through its closure; breaking that cycle
         # frees the memo now instead of at the next full collection

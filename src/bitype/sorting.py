@@ -154,19 +154,18 @@ def _unsorted_pairs(pres: ToricPresentation, pair_cap: int | None = None) -> dic
     Each pair is sorted once, here; sorted pairs are left out, so the table
     holds exactly the moves of the rewriting and one entry per relation.
     """
-    gens = pres.generators
+    count = len(pres.entries)
     cap = guard_cap(pair_cap, "BITYPE_MAX_SORT_PAIRS", DEFAULT_PAIR_CAP)
-    n_pairs = len(gens) * (len(gens) + 1) // 2
+    n_pairs = count * (count + 1) // 2
     if n_pairs > cap:
         raise SizeGuardError(f"{n_pairs} generator pairs exceed the cap {cap}")
     table = {}
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
+    for i in range(count):
+        for j in range(i, count):
             image = pres.sorted_indices(i, j)
             if image is None:
-                raise UnsortableError(
-                    f"sorted image of ({gens[i].pretty()}, {gens[j].pretty()}) leaves the set"
-                )
+                u, v = (Monomial(pres.ideal.blocks, pres.entries[k]).pretty() for k in (i, j))
+                raise UnsortableError(f"sorted image of ({u}, {v}) leaves the set")
             if tuple(sorted(image)) != (i, j):
                 table[i, j] = image
     return table
@@ -276,18 +275,16 @@ def _rewrite(moves, start: tuple[int, ...], cap: int, known: dict) -> tuple[int,
 class GBEvidence:
     """Per-fiber results backing the quadratic Groebner basis claim."""
 
-    sortable: bool
     relation_count: int
     fibers_checked: dict[int, int]
     violations: list[dict]
 
     @property
     def passed(self) -> bool:
-        return self.sortable and not self.violations
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
-            "sortable": self.sortable,
             "relationCount": self.relation_count,
             "fibersChecked": {str(d): n for d, n in sorted(self.fibers_checked.items())},
             "violations": self.violations,
@@ -355,7 +352,6 @@ def quadratic_gb_evidence(
         for target, members in sorted(grouped.items()):
             violations.extend(_check_fiber(moves.get, d, target, members, step_cap))
     return GBEvidence(
-        sortable=True,
         relation_count=len(moves),
         fibers_checked={d: len(grouped) for d, grouped in fibers.items()},
         violations=violations,

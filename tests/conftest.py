@@ -6,6 +6,7 @@ the construction must reproduce; variables are flattened block by block
 """
 
 import math
+from contextlib import contextmanager
 
 import pytest
 
@@ -125,6 +126,23 @@ def gen_set(ideal: MonomialIdeal) -> set[tuple[int, ...]]:
 
 def mono(blocks: BlockStructure, *entries: int) -> Monomial:
     return Monomial(blocks, tuple(entries))
+
+
+def validated(ideal: MonomialIdeal) -> list[Monomial]:
+    """The ideal's generators as freshly validated monomials."""
+    return [Monomial(ideal.blocks, row) for row in ideal.rows]
+
+
+@contextmanager
+def monomials_refused():
+    """Inside the block, validating a Monomial raises AssertionError."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no Monomial may be validated here")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Monomial, "__post_init__", refuse)
+        yield
 
 
 @pytest.fixture

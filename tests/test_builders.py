@@ -17,7 +17,15 @@ from bitype import (
     veronese_type_ideal,
 )
 from bitype import builders
-from conftest import GOLDEN_11_3, GOLDEN_15_4, GOLDEN_2_2, GOLDEN_3_2_222, GOLDEN_4_2, gen_set
+from conftest import (
+    GOLDEN_11_3,
+    GOLDEN_15_4,
+    GOLDEN_2_2,
+    GOLDEN_3_2_222,
+    GOLDEN_4_2,
+    gen_set,
+    monomials_refused,
+)
 
 
 class TestVeroneseType:
@@ -90,6 +98,23 @@ class TestCompositionOracle:
             gen_set(bitype_ideal_by_compositions(make_params((2, 2, 2), 3, 2)))
             == GOLDEN_3_2_222
         )
+
+    def test_builds_rows_without_validating(self):
+        golden = {
+            ((2, 2), 2, 2): GOLDEN_2_2,
+            ((2, 2), 4, 2): GOLDEN_4_2,
+            ((2, 2), 11, 3): GOLDEN_11_3,
+            ((2, 2), 15, 4): GOLDEN_15_4,
+            ((2, 2, 2), 3, 2): GOLDEN_3_2_222,
+        }
+        expected = {}
+        for (sizes, t, s), vectors in golden.items():
+            blocks = BlockStructure(sizes)
+            monomials = [Monomial(blocks, v) for v in vectors]
+            expected[sizes, t, s] = MonomialIdeal.from_generators(blocks, monomials)
+        with monomials_refused():
+            for (sizes, t, s), ideal in expected.items():
+                assert bitype_ideal_by_compositions(make_params(sizes, t, s)) == ideal
 
     def test_full_grid_equality(self):
         checked = 0

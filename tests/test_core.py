@@ -20,7 +20,14 @@ from bitype import (
     minimalize,
 )
 from bitype.core import PrimeSupport, arrangements, run_representatives, symmetric_runs
-from conftest import asymmetric_ideals, bitype_instances, gen_set, mono
+from conftest import (
+    asymmetric_ideals,
+    bitype_instances,
+    gen_set,
+    mono,
+    monomials_refused,
+    validated,
+)
 
 
 def small_blocks():
@@ -195,6 +202,61 @@ class TestSumProduct:
             assert lhs.contains(f) == rhs.contains(f)
 
 
+class TestComputedIdealsStayRows:
+    """Colon, sum and product minimalize int rows and validate no Monomial.
+
+    Each equals the ideal that ``from_generators`` builds from validated
+    monomials.
+    """
+
+    @staticmethod
+    def same_blocks_ideals():
+        b22 = BlockStructure((2, 2))
+        ideals = [bitype_ideal(make_params((2, 2), t, s)) for t, s in ((2, 1), (3, 2), (4, 2))]
+        ideals += [ideal for ideal in asymmetric_ideals() if ideal.blocks == b22]
+        return ideals + [MonomialIdeal.zero(b22), MonomialIdeal.unit_ideal(b22)]
+
+    def test_colon(self):
+        ideals = [bitype_ideal(make_params((1, 3, 1), 5, 3)), *asymmetric_ideals()]
+        cases = []
+        for ideal in ideals + self.same_blocks_ideals():
+            n = ideal.blocks.n_vars
+            alternating = Monomial(ideal.blocks, tuple(k % 2 for k in range(n)))
+            for f in validated(ideal)[:2] + [alternating, Monomial.unit(ideal.blocks)]:
+                quotients = [
+                    Monomial(ideal.blocks, tuple(max(a - b, 0) for a, b in zip(g.entries, f.entries)))
+                    for g in validated(ideal)
+                ]
+                cases.append((ideal, f, MonomialIdeal.from_generators(ideal.blocks, quotients)))
+        with monomials_refused():
+            for ideal, f, expected in cases:
+                assert ideal.colon(f) == expected, (ideal, f)
+
+    def test_sum(self):
+        ideals = self.same_blocks_ideals()
+        cases = [
+            (left, right, MonomialIdeal.from_generators(left.blocks, validated(left) + validated(right)))
+            for left in ideals
+            for right in ideals
+        ]
+        with monomials_refused():
+            for left, right, expected in cases:
+                assert ideal_sum(left, right) == expected, (left, right)
+        assert not any("gens" in vars(ideal) for ideal in ideals)  # read as rows only
+
+    def test_product(self):
+        ideals = self.same_blocks_ideals()
+        cases = []
+        for left in ideals:
+            for right in ideals:
+                products = [g * h for g in validated(left) for h in validated(right)]
+                cases.append((left, right, MonomialIdeal.from_generators(left.blocks, products)))
+        with monomials_refused():
+            for left, right, expected in cases:
+                assert ideal_product(left, right) == expected, (left, right)
+        assert not any("gens" in vars(ideal) for ideal in ideals)  # read as rows only
+
+
 class TestAsPrime:
     def test_variables_give_support(self, b22):
         ideal = minimalize(b22, [mono(b22, 0, 0, 1, 0), mono(b22, 0, 0, 0, 1)])
@@ -238,6 +300,10 @@ class TestRowsBackedIdeal:
         gens = (mono(b22, 1, 0, 1, 0), mono(b22, 0, 1, 0, 1))
         ideal = MonomialIdeal(b22, gens)
         assert ideal.gens == gens and ideal.rows == ((1, 0, 1, 0), (0, 1, 0, 1))
+
+    def test_table_keeps_the_rows(self):
+        ideal = bitype_ideal(make_params((2, 2), 4, 2))
+        assert ideal._table.rows is ideal.rows
 
     def test_zero_and_unit(self, b22):
         zero, unit = MonomialIdeal.zero(b22), MonomialIdeal.unit_ideal(b22)

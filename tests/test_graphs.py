@@ -6,6 +6,7 @@ import pytest
 
 from bitype import (
     BlockStructure,
+    Monomial,
     MonomialIdeal,
     ParameterRangeError,
     bitype_ideal,
@@ -18,7 +19,7 @@ from bitype.graphs import (
     to_dot,
     walk_exponent_vectors,
 )
-from conftest import GOLDEN_EDGE_22, gen_set
+from conftest import GOLDEN_EDGE_22, gen_set, monomials_refused
 
 
 class TestStrongGraph:
@@ -157,6 +158,22 @@ class TestEdgeIdeal:
 
     def test_differs_from_degree_two_ideal(self, b22):
         assert edge_ideal(strong_block_graph(b22)) != bitype_ideal(make_params((2, 2), 2, 2))
+
+    def test_builds_rows_without_validating(self):
+        cases = []
+        for shape in ((2, 2), (1, 2, 3), (3,)):
+            blocks = BlockStructure(shape)
+            for mode in ("all", "consecutive"):
+                graph = strong_block_graph(blocks, mode)
+                monomials = [
+                    Monomial(blocks, tuple((k == u) + (k == w) for k in range(blocks.n_vars)))
+                    for u, w in graph.edge_pairs()
+                ]
+                cases.append((graph, MonomialIdeal.from_generators(blocks, monomials)))
+        with monomials_refused():
+            for graph, expected in cases:
+                assert edge_ideal(graph) == expected, graph
+        assert gen_set(cases[0][1]) == GOLDEN_EDGE_22
 
     def test_loops_only(self, b11):
         graph = strong_block_graph(b11)

@@ -18,9 +18,9 @@ from conftest import bitype_instances
 class RowLoopTable:
     """Reference scans: one pass over the rows per query."""
 
-    def __init__(self, flat, count, width):
-        self.width = width
-        self.rows = [tuple(flat[r * width:(r + 1) * width]) for r in range(count)]
+    def __init__(self, rows):
+        self.width = len(rows[0]) if rows else 0
+        self.rows = rows
 
     def contains(self, f) -> bool:
         for row in self.rows:
@@ -91,15 +91,16 @@ def table_and_vector(draw):
         st.lists(st.integers(0, 3), min_size=count * width, max_size=count * width)
     )
     vec = tuple(draw(st.lists(st.integers(0, 4), min_size=width, max_size=width)))
-    return tuple(flat), count, width, vec
+    rows = tuple(tuple(flat[r * width:(r + 1) * width]) for r in range(count))
+    return rows, width, vec
 
 
 @given(table_and_vector())
 @settings(max_examples=120, deadline=None)
 def test_contains_and_masks_agree(data):
-    flat, count, width, vec = data
-    table = kernels.make_table(flat, count, width)
-    reference = RowLoopTable(flat, count, width)
+    rows, width, vec = data
+    table = kernels.make_table(rows)
+    reference = RowLoopTable(rows)
     assert table.contains(vec) == reference.contains(vec)
     assert table.deficit_masks(vec) == reference.deficit_masks(vec)
     assert table.colon_prime_mask(vec) == reference.colon_prime_mask(vec)
@@ -108,19 +109,18 @@ def test_contains_and_masks_agree(data):
 @given(table_and_vector())
 @settings(max_examples=40, deadline=None)
 def test_ass_scan_agrees(data):
-    flat, count, width, _ = data
+    rows, width, _ = data
     bounds = tuple(2 for _ in range(width))
-    table = kernels.make_table(flat, count, width)
-    assert table.ass_scan(bounds) == RowLoopTable(flat, count, width).ass_scan(bounds)
+    table = kernels.make_table(rows)
+    assert table.ass_scan(bounds) == RowLoopTable(rows).ass_scan(bounds)
 
 
 def test_scans_agree_on_every_box_point_of_small_bitype_ideals():
     instances = points = 0
     for n_vars in range(1, 5):
         for ideal in bitype_instances(n_vars):
-            flat = tuple(x for g in ideal.gens for x in g.entries)
-            table = kernels.make_table(flat, len(ideal.gens), n_vars)
-            reference = RowLoopTable(flat, len(ideal.gens), n_vars)
+            table = kernels.make_table(ideal.rows)
+            reference = RowLoopTable(ideal.rows)
             bounds = ideal.lcm_of_generators().entries
             for a in product(*(range(b + 1) for b in bounds)):
                 assert table.contains(a) == reference.contains(a), (ideal, a)
@@ -185,8 +185,7 @@ def test_colon_prime_mask_matches_literal_colon():
     blocks = BlockStructure((2, 1))
     vectors = [(2, 0, 1), (1, 1, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2)]
     ideal = MonomialIdeal.from_generators(blocks, [Monomial(blocks, v) for v in vectors])
-    flat = tuple(x for g in ideal.gens for x in g.entries)
-    table = kernels.make_table(flat, len(ideal.gens), 3)
+    table = kernels.make_table(ideal.rows)
     for entries in product(range(3), repeat=3):
         f = Monomial(blocks, entries)
         supp = ideal.colon(f).as_prime_support()

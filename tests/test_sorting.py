@@ -408,8 +408,7 @@ def reference_evidence(pres, max_degree=3, step_cap=None):
             if len(forms) > 1:
                 violations.append({"kind": "normal-form-mismatch", "degree": d,
                                    "target": list(target), "forms": sorted(map(list, forms))})
-    return {"sortable": True, "relationCount": relations, "fibersChecked": checked,
-            "violations": violations}
+    return {"relationCount": relations, "fibersChecked": checked, "violations": violations}
 
 
 class TestEvidenceMatchesReference:
