@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import ParameterRangeError, SizeGuardError, StructureError
 from . import kernels
@@ -122,15 +122,9 @@ def _minimal_rows(rows) -> list[tuple[int, ...]]:
     row is compared only with the kept rows of earlier degree layers.
     """
     kept: list[tuple[int, ...]] = []
-    lower: list[tuple[int, ...]] = []
-    prev_degree = None
-    for v in sorted(set(rows), key=lambda e: (sum(e), e)):
-        degree = sum(v)
-        if degree != prev_degree:
-            lower = list(kept)
-            prev_degree = degree
-        if not any(all(a <= b for a, b in zip(k, v)) for k in lower):
-            kept.append(v)
+    for _, layer in groupby(sorted(set(rows), key=sum), key=sum):
+        # kept grows after the layer is filtered, so rows meet earlier layers only
+        kept += [v for v in layer if not any(all(a <= b for a, b in zip(k, v)) for k in kept)]
     kept.sort()
     return kept
 

@@ -7,8 +7,10 @@ consecutive ones.  There are no edges inside a block.
 A walk of length L is a vertex sequence v_0..v_L where consecutive equal
 vertices use the loop and consecutive distinct vertices use an edge; since
 generators of walk ideals carry each variable with exponent at most two,
-walks revisiting a vertex a third time are inadmissible.  The walk ideal of
-degree t is generated by the multidegrees of length t-1 walks.  By default
+walks revisiting a vertex a third time are inadmissible.  The enumeration
+reads the edges once into one move list per vertex, a loop being an edge
+from a vertex to itself, so every step follows the same rule.  The walk ideal
+of degree t is generated by the multidegrees of length t-1 walks.  By default
 only walks whose vertex classes span every block are collected, which is
 what the degree-capped block ideals require; literal enumeration without
 that restriction is available via ``span_blocks=False``, and the nondecreasing
@@ -39,16 +41,6 @@ class LoopGraph:
             out.append((vs[0], vs[-1]))
         out.sort()
         return out
-
-    def neighbors(self, v: int) -> list[int]:
-        out = set()
-        for e in self.edges:
-            if v in e and len(e) == 2:
-                out.add(next(iter(e - {v})))
-        return sorted(out)
-
-    def has_loop(self, v: int) -> bool:
-        return frozenset({v}) in self.edges
 
 
 def strong_block_graph(blocks: BlockStructure, adjacency: str = "all") -> LoopGraph:
@@ -86,31 +78,21 @@ def walk_exponent_vectors(
     blocks = graph.blocks
     n = blocks.n_vars
     block_of = [blocks.block_of(k) for k in range(n)]
-    neighbors = {v: graph.neighbors(v) for v in range(n)}
+    moves: list[set[int]] = [set() for _ in range(n)]
+    for u, w in graph.edge_pairs():
+        moves[u].add(w)
+        moves[w].add(u)
+    if ordered:
+        moves = [{w for w in ws if block_of[w] >= block_of[v]} for v, ws in enumerate(moves)]
 
-    def steps(counts: tuple[int, ...], last: int):
-        if graph.has_loop(last) and counts[last] < 2:
-            yield last
-        for w in neighbors[last]:
-            if counts[w] >= 2:
-                continue
-            if ordered and block_of[w] < block_of[last]:
-                continue
-            yield w
-
-    frontier: set[tuple[tuple[int, ...], int]] = set()
-    for v in range(n):
-        start = [0] * n
-        start[v] = 1
-        frontier.add((tuple(start), v))
+    frontier = {(tuple(int(k == v) for k in range(n)), v) for v in range(n)}
     for _ in range(length):
-        nxt: set[tuple[tuple[int, ...], int]] = set()
-        for counts, last in frontier:
-            for w in steps(counts, last):
-                bumped = list(counts)
-                bumped[w] += 1
-                nxt.add((tuple(bumped), w))
-        frontier = nxt
+        frontier = {
+            (counts[:w] + (counts[w] + 1,) + counts[w + 1 :], w)
+            for counts, last in frontier
+            for w in moves[last]
+            if counts[w] < 2
+        }
 
     found = {counts for counts, _ in frontier}
     if span_blocks:
@@ -133,7 +115,7 @@ def generalized_graph_ideal(
         raise ParameterRangeError("walk ideals start at degree 3; use edge_ideal for degree 2")
     vectors = walk_exponent_vectors(graph, t - 1, ordered=ordered, span_blocks=span_blocks)
     # distinct vectors of one degree in lexicographic order: already canonical
-    return MonomialIdeal(graph.blocks, tuple(vectors))
+    return MonomialIdeal._from_rows(graph.blocks, [v.entries for v in vectors])
 
 
 def edge_ideal(graph: LoopGraph) -> MonomialIdeal:

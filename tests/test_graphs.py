@@ -1,5 +1,6 @@
 """Strong block graphs, walk enumeration, walk ideals, edge ideals."""
 
+import inspect
 from itertools import product
 
 import pytest
@@ -12,7 +13,9 @@ from bitype import (
     bitype_ideal,
     make_params,
 )
+from bitype import graphs as graphs_module
 from bitype.graphs import (
+    LoopGraph,
     edge_ideal,
     generalized_graph_ideal,
     strong_block_graph,
@@ -83,6 +86,118 @@ class TestWalks:
         }
         assert ordered <= free
         assert (1, 1, 1, 1) in free - ordered  # needs a block-alternating walk
+
+
+def reference_walks(graph, length, ordered=False, span_blocks=True):
+    """Walk multidegrees by brute force over every vertex sequence."""
+    blocks = graph.blocks
+    n = blocks.n_vars
+    steps = set(graph.edge_pairs())
+    found = set()
+    for walk in product(range(n), repeat=length + 1):
+        counts = tuple(walk.count(v) for v in range(n))
+        if max(counts) > 2:
+            continue
+        pairs = list(zip(walk, walk[1:]))
+        if not all((min(a, b), max(a, b)) in steps for a, b in pairs):
+            continue
+        if ordered and any(blocks.block_of(b) < blocks.block_of(a) for a, b in pairs):
+            continue
+        if span_blocks and len({blocks.block_of(v) for v in walk}) < blocks.n_blocks:
+            continue
+        found.add(counts)
+    return sorted(found)
+
+
+def walk_entries(walks, graph, length, ordered=False, span_blocks=True):
+    return [v.entries for v in walks(graph, length, ordered=ordered, span_blocks=span_blocks)]
+
+
+def loops_only(graph):
+    return type(graph)(
+        blocks=graph.blocks,
+        edges=frozenset(e for e in graph.edges if len(e) == 1),
+        adjacency=graph.adjacency,
+    )
+
+
+REFERENCE_SHAPES = [(1, 1), (2, 1), (1, 3), (2, 2), (1, 1, 1), (1, 2, 1)]
+
+
+def assert_matches_reference(graph, lengths):
+    for length in lengths:
+        for ordered, span in product((False, True), repeat=2):
+            assert walk_entries(walk_exponent_vectors, graph, length, ordered, span) == (
+                reference_walks(graph, length, ordered, span)
+            ), (length, ordered, span)
+
+
+class TestWalkReference:
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=str)
+    @pytest.mark.parametrize("mode", ["all", "consecutive"])
+    def test_agrees_with_brute_force(self, shape, mode):
+        graph = strong_block_graph(BlockStructure(shape), mode)
+        assert_matches_reference(graph, range(1, min(2 * sum(shape) - 1, 4) + 1))
+
+    def test_loops_only_graph(self, b11):
+        graph = loops_only(strong_block_graph(b11))
+        assert_matches_reference(graph, (1, 2))
+        assert walk_entries(walk_exponent_vectors, graph, 1, span_blocks=False) == [(0, 2), (2, 0)]
+
+    def test_reads_edges_once(self, b222, monkeypatch):
+        calls = []
+        edge_pairs = LoopGraph.edge_pairs
+        monkeypatch.setattr(LoopGraph, "edge_pairs", lambda g: calls.append(1) or edge_pairs(g))
+        walk_exponent_vectors(strong_block_graph(b222), 3, ordered=True)
+        assert len(calls) == 1
+
+
+def walks_from(source: str):
+    """``walk_exponent_vectors`` compiled from a version of the graphs module source."""
+    namespace = {"__name__": "bitype.graphs", "__package__": "bitype"}
+    exec(compile(source, graphs_module.__file__, "exec"), namespace)
+    return namespace["walk_exponent_vectors"]
+
+
+def mutant_walks(old: str, new: str):
+    """``walk_exponent_vectors`` with one fragment of its source replaced."""
+    source = inspect.getsource(graphs_module)
+    assert source.count(old) == 1, old
+    return walks_from(source.replace(old, new))
+
+
+# name: (fragment of walk_exponent_vectors, its replacement, instance it breaks on)
+WALK_MUTATIONS = {
+    "third visit allowed": (
+        "if counts[w] < 2", "if counts[w] < 3", ((1, 1), "all", 3, False, False)
+    ),
+    # only steps towards a higher index: (1,1,1,1) needs x21 -> x12
+    "edges one way": ("moves[w].add(u)", "pass", ((2, 2), "all", 3, False, True)),
+    # loops are dropped with the backward steps
+    "strictly later blocks": (
+        "block_of[w] >= block_of[v]", "block_of[w] > block_of[v]", ((1, 1), "all", 2, True, True)
+    ),
+    "span filter dropped": ("if span_blocks:", "if False:", ((2, 2, 2), "all", 2, False, True)),
+}
+
+
+class TestWalkMutations:
+    """Each broken step rule disagrees with the brute-force reference."""
+
+    @pytest.mark.parametrize("name", WALK_MUTATIONS)
+    def test_mutant_disagrees(self, name):
+        old, new, (shape, mode, length, ordered, span) = WALK_MUTATIONS[name]
+        graph = strong_block_graph(BlockStructure(shape), mode)
+        mutant = walk_entries(mutant_walks(old, new), graph, length, ordered, span)
+        assert mutant != reference_walks(graph, length, ordered, span)
+
+    def test_unmutated_source_agrees(self):
+        walks = walks_from(inspect.getsource(graphs_module))
+        for _, _, (shape, mode, length, ordered, span) in WALK_MUTATIONS.values():
+            graph = strong_block_graph(BlockStructure(shape), mode)
+            assert walk_entries(walks, graph, length, ordered, span) == (
+                reference_walks(graph, length, ordered, span)
+            )
 
 
 class TestGraphIdeals:
@@ -176,10 +291,4 @@ class TestEdgeIdeal:
         assert gen_set(cases[0][1]) == GOLDEN_EDGE_22
 
     def test_loops_only(self, b11):
-        graph = strong_block_graph(b11)
-        loops_only = type(graph)(
-            blocks=graph.blocks,
-            edges=frozenset(e for e in graph.edges if len(e) == 1),
-            adjacency=graph.adjacency,
-        )
-        assert gen_set(edge_ideal(loops_only)) == {(2, 0), (0, 2)}
+        assert gen_set(edge_ideal(loops_only(strong_block_graph(b11)))) == {(2, 0), (0, 2)}

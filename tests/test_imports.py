@@ -6,6 +6,7 @@ package's re-exports.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -59,3 +60,21 @@ def test_cli_import_leaves_subcommand_layers_unloaded():
     ).stdout.split()
     assert "bitype.cli" in out
     assert [name for name in LAZY if f"bitype.{name}" in out] == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_probes_find_their_targets(monkeypatch):
+    # the tracer patches every name it traces; a missing one raises here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    # perfbench/run.py calls it when it times the import
+    assert callable(bitype.kernels.implementation_name)
