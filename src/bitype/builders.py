@@ -20,7 +20,7 @@ variables reach Python's recursion limit.
 
 from dataclasses import dataclass
 
-from .core import BlockStructure, MonomialIdeal, _minimal_rows
+from .core import BlockStructure, MonomialIdeal, _integral, _minimal_rows
 from .errors import ParameterRangeError
 
 
@@ -39,6 +39,9 @@ class IdealParameters:
     s: int
 
     def __post_init__(self):
+        for name in ("t", "s"):
+            if type(value := getattr(self, name)) is not int:
+                object.__setattr__(self, name, _integral((value,), name)[0])
         n, big_n = self.blocks.n_blocks, self.blocks.n_vars
         if self.s < 1 or self.t < 1:
             raise ParameterRangeError(f"t and s must be positive, got t={self.t}, s={self.s}")

@@ -244,7 +244,7 @@ def _cmd_sort_check(args) -> int:
         doc.update(evidence.to_dict())
     else:
         try:
-            doc["relationCount"] = len(sorting._unsorted_pairs(pres, args.max_pairs))
+            doc["relationCount"] = sum(1 for _ in sorting._unsorted_pairs(pres, args.max_pairs))
         except SizeGuardError as exc:
             # sortability itself is already settled by sortable_violation above
             doc["relationCount"] = None

@@ -13,6 +13,7 @@ All values are immutable after construction and all operations are pure.
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, groupby, product
@@ -95,10 +96,7 @@ class BlockStructure:
         """Block index (0-based) of flat variable index k."""
         if not 0 <= k < self.n_vars:
             raise IndexError(k)
-        for i in range(self.n_blocks - 1, -1, -1):
-            if k >= self.offsets[i]:
-                return i
-        raise IndexError(k)
+        return bisect_right(self.offsets, k) - 1
 
     def block_range(self, i: int) -> range:
         return range(self.offsets[i], self.offsets[i] + self.block_sizes[i])
@@ -165,9 +163,6 @@ class Monomial:
 
     def block_degree(self, i: int) -> int:
         return sum(self.entries[k] for k in self.blocks.block_range(i))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, e in enumerate(self.entries) if e > 0)
 
     def divides(self, other: "Monomial") -> bool:
         """Componentwise comparison: self | other."""

@@ -14,18 +14,21 @@ unique normal form, which also makes the fiber connected under single
 sorting moves.  Fibers and rewriting work on generator indices and entry
 tuples; no Monomial is built along the way.
 
-The evidence does each piece of work once.  Every generator pair is sorted
-once, into a table of moves, and every multiset of a fiber is moved once: a
-walk that reaches a state recorded by an earlier walk of the fiber stops
-there.  The rewrite rule is deterministic, so the recorded form and distance
-are exactly where and how far the walk would have gone on, and a state on a
-cycle is never recorded, so the documents match rewriting every member from
-scratch (see :func:`_check_fiber`).
+Generator pairs are sorted by one rule, :func:`_pair_move`, as the caller
+walks them; only the evidence keeps the moves, as a table.  The evidence
+does each piece of work once.  Every generator pair is sorted once, and
+every multiset of a fiber is moved once: a walk that reaches a state
+recorded by an earlier walk of the fiber stops there.  The rewrite rule is
+deterministic, so the recorded form and distance are exactly where and how
+far the walk would have gone on, and a state on a cycle is never recorded,
+so the documents match rewriting every member from scratch (see
+:func:`_check_fiber`).
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import add
 
 from .builders import IdealParameters
@@ -144,31 +147,26 @@ def sorting_relations(pres: ToricPresentation, pair_cap: int | None = None) -> l
     gens = pres.generators
     return [
         SortingRelation(lhs=(gens[i], gens[j]), rhs=(gens[a], gens[b]))
-        for (i, j), (a, b) in _unsorted_pairs(pres, pair_cap).items()
+        for (i, j), (a, b) in _unsorted_pairs(pres, pair_cap)
     ]
 
 
-def _unsorted_pairs(pres: ToricPresentation, pair_cap: int | None = None) -> dict[tuple[int, int], tuple[int, int]]:
-    """Sorted image of every unsorted pair i <= j of generator indices, in pair order.
+def _unsorted_pairs(pres: ToricPresentation, pair_cap: int | None = None) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Unsorted pairs i <= j of generator indices with their sorted images, in pair order.
 
-    Each pair is sorted once, here; sorted pairs are left out, so the table
-    holds exactly the moves of the rewriting and one entry per relation.
+    The pair guard trips on the call.  :func:`_pair_move` then sorts each
+    pair as the caller iterates; only the evidence keeps the moves as a table.
     """
     count = len(pres.entries)
     cap = guard_cap(pair_cap, "BITYPE_MAX_SORT_PAIRS", DEFAULT_PAIR_CAP)
     n_pairs = count * (count + 1) // 2
     if n_pairs > cap:
         raise SizeGuardError(f"{n_pairs} generator pairs exceed the cap {cap}")
-    table = {}
-    for i in range(count):
-        for j in range(i, count):
-            image = pres.sorted_indices(i, j)
-            if image is None:
-                u, v = (Monomial(pres.ideal.blocks, pres.entries[k]).pretty() for k in (i, j))
-                raise UnsortableError(f"sorted image of ({u}, {v}) leaves the set")
-            if tuple(sorted(image)) != (i, j):
-                table[i, j] = image
-    return table
+    return (
+        (pair, image)
+        for pair in combinations_with_replacement(range(count), 2)
+        if (image := _pair_move(pres, pair)) is not None
+    )
 
 
 def fibers_of_degree(pres: ToricPresentation, d: int, multiset_cap: int = 200000) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -216,10 +214,11 @@ def normal_form(
 
 
 def _pair_move(pres: ToricPresentation, pair: tuple[int, int]) -> tuple[int, int] | None:
-    """Sorted image of the pair i <= j, or None when the pair is already sorted."""
+    """Sorted image of the pair i <= j, None if it is sorted; UnsortableError if it leaves the set."""
     image = pres.sorted_indices(*pair)
     if image is None:
-        raise UnsortableError("presentation is not sortable")
+        u, v = (Monomial(pres.ideal.blocks, pres.entries[k]).pretty() for k in pair)
+        raise UnsortableError(f"sorted image of ({u}, {v}) leaves the set")
     return None if tuple(sorted(image)) == pair else image
 
 
@@ -343,7 +342,7 @@ def quadratic_gb_evidence(
     generator pair is sorted once, for the relation count and the moves
     alike; ``pair_cap`` bounds that walk as it bounds :func:`sorting_relations`.
     """
-    moves = _unsorted_pairs(pres, pair_cap)  # raises UnsortableError on bad input
+    moves = dict(_unsorted_pairs(pres, pair_cap))  # raises UnsortableError on bad input
     step_cap = guard_cap(step_cap, "BITYPE_MAX_REWRITE_STEPS", DEFAULT_REWRITE_CAP)
     # every degree is grouped before any check, so a multiset guard trips first
     fibers = {d: fibers_of_degree(pres, d) for d in range(2, max_degree + 1)}

@@ -264,6 +264,14 @@ class TestParameterValidation:
         with pytest.raises(ParameterRangeError):
             make_params(blocks, t, s)
 
+    @pytest.mark.parametrize("value", [4.0, 4.5, "4", True], ids=repr)
+    @pytest.mark.parametrize("name", ["t", "s"])
+    def test_non_integer_refused(self, name, value):
+        # 4.0 passed validation and then raised a raw TypeError; True built s = 1
+        t, s = (value, 2) if name == "t" else (4, value)
+        with pytest.raises(ParameterRangeError, match=f"^{name} "):
+            make_params((2, 2), t, s)
+
     def test_deficit(self):
         assert make_params((2, 2), 15, 4).deficit == 1
         assert make_params((2, 2), 11, 3).deficit == 1

@@ -391,13 +391,18 @@ class TestValidation:
             BlockStructure((2, 0))
 
     def test_flat_index_bijection(self, b222):
-        seen = set()
-        for i in range(b222.n_blocks):
-            for j in range(b222.block_sizes[i]):
-                k = b222.flat_index(i, j)
-                assert b222.block_of(k) == i
-                seen.add(k)
-        assert seen == set(range(b222.n_vars))
+        uneven = [(3, 3, 3), (1, 2, 3), (1,), (5, 1, 1, 4), (2, 2, 2, 2, 2)]
+        for blocks in (b222, *map(BlockStructure, uneven)):
+            seen = set()
+            for i in range(blocks.n_blocks):
+                for j in range(blocks.block_sizes[i]):
+                    k = blocks.flat_index(i, j)
+                    assert blocks.block_of(k) == i
+                    seen.add(k)
+            assert seen == set(range(blocks.n_vars))
+            for k in (-1, blocks.n_vars):
+                with pytest.raises(IndexError):
+                    blocks.block_of(k)
 
 
 class TestSymmetricRuns:

@@ -7,6 +7,7 @@ package's re-exports.
 
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import bitype
+from bitype import sorting
 
 MODULES = sorted(
     p for p in Path(bitype.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -78,3 +80,26 @@ def test_benchmark_probes_find_their_targets(monkeypatch):
         tracer.uninstall()
     # perfbench/run.py calls it when it times the import
     assert callable(bitype.kernels.implementation_name)
+
+
+def test_benchmark_selfcheck_passes():
+    # frozen ops match their references, and a tampered reference or a
+    # perturbed program is caught, for every workload
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selfcheck.py")], capture_output=True, text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4 and all(line.endswith(" ok") for line in lines), out.stdout
+
+
+def test_benchmark_guard_caps_resolve():
+    # run.py reports headroom against each cap; a renamed default breaks it
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, (_field, cap) in workloads.GUARDS.items():
+        assert isinstance(cap(), int) and cap() > 0, name
+    default = inspect.signature(sorting.fibers_of_degree).parameters["multiset_cap"].default
+    assert workloads.multiset_cap() == default

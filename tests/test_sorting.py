@@ -12,6 +12,7 @@ from bitype import (
     MonomialIdeal,
     ParameterRangeError,
     RewriteLimitError,
+    SizeGuardError,
     UnsortableError,
     bitype_ideal,
     make_params,
@@ -477,3 +478,41 @@ class TestEvidenceWork:
         assert sorted(states) == sorted(
             m for d in (2, 3) for members in fibers_of_degree(pres, d).values() for m in members
         )
+
+
+class TestPairWalk:
+    """``_unsorted_pairs`` checks its guard on the call and sorts pairs as it is walked."""
+
+    def test_returns_an_iterator(self):
+        pres = ToricPresentation(bitype_ideal(make_params((2, 2), 4, 2)))
+        walk = sorting._unsorted_pairs(pres)
+        assert iter(walk) is walk
+
+    def test_guard_trips_before_any_pair_is_sorted(self, monkeypatch):
+        pres = ToricPresentation(bitype_ideal(make_params((2, 2), 4, 2)))
+        calls = []
+        true_sort = ToricPresentation.sorted_indices
+
+        def counting(self, i, j):
+            calls.append((i, j))
+            return true_sort(self, i, j)
+
+        monkeypatch.setattr(ToricPresentation, "sorted_indices", counting)
+        with pytest.raises(SizeGuardError, match="153 generator pairs exceed the cap 152"):
+            sorting._unsorted_pairs(pres, 152)
+        assert calls == []
+
+    @pytest.mark.parametrize("blocks,t,s", CRITERION_7)
+    def test_count_matches_relations_and_evidence(self, blocks, t, s):
+        pres = ToricPresentation(bitype_ideal(make_params(blocks, t, s)))
+        count = sum(1 for _ in sorting._unsorted_pairs(pres))
+        assert count == len(sorting_relations(pres)) == quadratic_gb_evidence(pres).relation_count
+
+    def test_normal_form_names_the_unsortable_pair(self):
+        blocks = BlockStructure((2,))
+        pres = ToricPresentation(
+            MonomialIdeal.from_generators(blocks, [Monomial(blocks, (2, 0)), Monomial(blocks, (0, 2))])
+        )
+        with pytest.raises(UnsortableError) as got:
+            normal_form(pres, (0, 1))
+        assert str(got.value) == "sorted image of (x12^2, x11^2) leaves the set"
