@@ -4,67 +4,127 @@ A vertex cover of a monomial ideal is a variable set meeting every minimal
 generator; the cover number h is the least cardinality of a cover.  For the
 quotient by a bi-type ideal the closed forms are dim = N - min(m_i) in the
 low-degree regime and N - 1 in the top regime t = s*N - r, r = 1..s-1; the
-oracle route is the minimal vertex covers, subsets walked by size, and
-dim = N - h.
+oracle route is the minimal vertex covers and dim = N - h.  Covering is read
+off one bitset per variable, of the generator rows that are zero there: a
+set covers exactly when the AND of its variables' bitsets is 0.  The
+minimal covers come from a depth-first walk over variable subsets that
+stops extending a set once it covers.
 """
 
-from itertools import combinations, compress
+from operator import itemgetter
 
 from .builders import IdealParameters
-from .core import MonomialIdeal, guard_cap
+from .core import MonomialIdeal, _integral, guard_cap
 from .errors import ParameterRangeError, SizeGuardError
 
 DEFAULT_COVER_VARS = 20
 
+# byte 0 -> "1", any other byte -> "0": a column of entries becomes the
+# binary digits of its zero-row bitset
+_ZERO_IS_ONE = b"1" + b"0" * 255
 
-def _support_masks(ideal: MonomialIdeal) -> list[int]:
-    """Inclusion-minimal generator supports; covering only depends on these."""
-    bits = [1 << k for k in range(ideal.blocks.n_vars)]
-    raw = {sum(compress(bits, row)) for row in ideal.rows}
-    minimal = []
-    for m in sorted(raw, key=int.bit_count):
-        if not any(k & m == k for k in minimal):
-            minimal.append(m)
-    return minimal
+
+def _zero_rows(ideal: MonomialIdeal) -> list[int]:
+    """Per variable, the bitset of the generator rows that are zero there.
+
+    Columns are read one at a time: a transpose of all rows at once raises
+    the peak memory of a wide ideal for no gain in speed.
+    """
+    rows, n_vars = ideal.rows, ideal.blocks.n_vars
+    if not rows:
+        return [0] * n_vars
+    zero = []
+    for k in range(n_vars):
+        try:
+            column = bytes(map(itemgetter(k), rows))
+        except ValueError:  # an entry above 255: only zero or not matters
+            column = bytes(map(bool, map(itemgetter(k), rows)))
+        zero.append(int(column.translate(_ZERO_IS_ONE), 2))
+    return zero
 
 
 def is_vertex_cover(ideal: MonomialIdeal, indices) -> bool:
-    """Every generator has a positive exponent at some index of the set."""
-    w = 0
+    """Every generator has a positive exponent at some index of the set.
+
+    An index that is not an integer in 0..N-1 is a ParameterRangeError.
+    """
+    indices = tuple(indices)
+    if not all(type(k) is int for k in indices):
+        indices = _integral(indices, "variable index")
+    zero = _zero_rows(ideal)
+    left = (1 << len(ideal.rows)) - 1
     for k in indices:
-        w |= 1 << k
-    return all(m & w for m in _support_masks(ideal))
+        if not 0 <= k < len(zero):
+            raise ParameterRangeError(
+                f"variable index {k} outside 0..{len(zero) - 1}"
+            )
+        left &= zero[k]
+    return not left
+
+
+def _walk(zero, bits, table, path, found, start, mask, left) -> None:
+    """Extend the non-cover ``mask`` by each vertex from ``start`` on.
+
+    ``left`` is the bitset of the rows ``mask`` has not hit and ``path`` the
+    bits of its vertices; ``table`` marks the non-covers found so far.
+    Vertices are tried from the last one down, so a reached cover minus any
+    vertex of ``mask`` was settled in ``table`` before the cover is reached.
+    """
+    last = len(zero) - 1
+    for i in range(last, start - 1, -1):
+        m = mask | bits[i]
+        rest = left & zero[i]
+        if rest:
+            table[m] = 1
+            if i < last:
+                path.append(bits[i])
+                _walk(zero, bits, table, path, found, i + 1, m, rest)
+                path.pop()
+        else:
+            for b in path:
+                if not table[m ^ b]:
+                    break
+            else:
+                found.append(m)
 
 
 def minimal_vertex_covers(ideal: MonomialIdeal, max_vars: int | None = None) -> list[frozenset[int]]:
     """All inclusion-minimal vertex covers, ordered by size, then as sorted tuples.
 
-    Walks the subsets of the union of generator supports by size, each size
-    in lexicographic order, and keeps a cover unless it contains a cover
-    kept before it.  That test is exact: a cover that properly contains a
-    cover contains a minimal one of smaller size, which was kept earlier,
-    and a kept cover never contains another of its own size.
+    Walks the subsets of the V support variables depth first, extending a
+    set only by vertices of larger index and carrying the bitset of the
+    rows it has not hit; a set that hits every row is a cover and is not
+    extended.  This is exact: every non-cover is visited, because its
+    prefixes are non-covers, and every unvisited set contains a cover.  So
+    a table of 2^V bytes, one per subset, that marks each visited non-cover
+    records exactly which sets cover, and a reached cover is minimal when
+    removing any one vertex gives a non-cover.  The cap on V also bounds
+    that table: 1 MB at the default of 20.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ParameterRangeError("vertex covers need a nonzero, proper ideal")
     cap = guard_cap(max_vars, "BITYPE_MAX_COVER_VARS", DEFAULT_COVER_VARS)
-    masks = _support_masks(ideal)
-    union = 0
-    for m in masks:
-        union |= m
-    verts = [k for k in range(ideal.blocks.n_vars) if (union >> k) & 1]
+    zero = _zero_rows(ideal)
+    full = (1 << len(ideal.rows)) - 1
+    verts = [k for k, z in enumerate(zero) if z != full]
     if len(verts) > cap:
         raise SizeGuardError(
             f"{len(verts)} support variables exceed the enumeration cap {cap}"
         )
-    bits = [1 << k for k in verts]
-    kept: list[int] = []
-    for size in range(1, len(bits) + 1):
-        for sub in combinations(bits, size):
-            w = sum(sub)
-            if all(m & w for m in masks) and not any(c & w == c for c in kept):
-                kept.append(w)
-    return [frozenset(k for k in range(w.bit_length()) if (w >> k) & 1) for w in kept]
+    bits = [1 << i for i in range(len(verts))]
+    try:
+        table = bytearray(1 << len(verts))
+    except (MemoryError, OverflowError):  # only reachable with a raised cap
+        raise SizeGuardError(
+            f"the table of 2^{len(verts)} bytes for {len(verts)} support "
+            "variables does not fit in memory"
+        ) from None
+    table[0] = 1
+    found: list[int] = []
+    _walk([zero[k] for k in verts], bits, table, [], found, 0, 0, full)
+    covers = [[k for k, b in zip(verts, bits) if m & b] for m in found]
+    covers.sort(key=lambda c: (len(c), c))
+    return [frozenset(c) for c in covers]
 
 
 def cover_number(ideal: MonomialIdeal, max_vars: int | None = None) -> int:

@@ -43,6 +43,12 @@ class TestCoverPredicate:
         # the generator x12^2*x21 avoids x11
         assert not is_vertex_cover(ideal, {0})
 
+    @pytest.mark.parametrize("index", [-1, 4, 1.5, True])
+    def test_index_naming_no_variable(self, index):
+        ideal = bitype_ideal(make_params((2, 2), 3, 2))
+        with pytest.raises(ParameterRangeError):
+            is_vertex_cover(ideal, [0, 1, index])
+
 
 class TestMinimalCovers:
     def test_two_block_covers(self):
@@ -86,6 +92,22 @@ class TestMinimalCovers:
         ideal = bitype_ideal(make_params((2, 2), 3, 2))
         with pytest.raises(SizeGuardError):
             minimal_vertex_covers(ideal, max_vars=3)
+
+    def test_guard_counts_support_variables(self, monkeypatch):
+        monkeypatch.delenv("BITYPE_MAX_COVER_VARS", raising=False)
+        ideal = bitype_ideal(make_params((7, 7, 7), 3, 1))
+        with pytest.raises(SizeGuardError, match=r"^21 support variables exceed the enumeration cap 20$"):
+            minimal_vertex_covers(ideal)
+
+    def test_table_beyond_memory_is_a_guard(self):
+        ideal = bitype_ideal(make_params((32, 32), 2, 1))
+        with pytest.raises(SizeGuardError, match="2\\^64 bytes"):
+            minimal_vertex_covers(ideal, max_vars=64)
+
+    def test_twenty_variables_give_the_blocks(self):
+        ideal = bitype_ideal(make_params((5, 5, 5, 5), 4, 1))
+        covers = minimal_vertex_covers(ideal)
+        assert [sorted(w) for w in covers] == [list(range(i, i + 5)) for i in range(0, 20, 5)]
 
     def test_zero_and_unit_rejected(self, b22):
         with pytest.raises(ParameterRangeError):
@@ -142,6 +164,20 @@ class TestAgainstReference:
         assert len(found) == 2**edges
         assert found == reference_covers(ideal)
 
+    def test_exponents_above_a_byte(self):
+        blocks = BlockStructure((2, 2))
+        gens = [(300, 0, 1, 0), (0, 256, 0, 2), (1, 1, 0, 0), (0, 0, 0, 999)]
+        ideal = MonomialIdeal.from_generators(blocks, [Monomial(blocks, e) for e in gens])
+        assert minimal_vertex_covers(ideal) == reference_covers(ideal)
+
+    def test_ten_edge_matching(self):
+        ideal = perfect_matching(10)
+        found = minimal_vertex_covers(ideal)
+        assert len(found) == 1024
+        for cover in found:
+            assert is_vertex_cover(ideal, cover)
+            assert not any(is_vertex_cover(ideal, cover - {k}) for k in cover)
+
 
 def covers_from(source: str):
     """``minimal_vertex_covers`` compiled from a version of the covers module source."""
@@ -157,29 +193,28 @@ def mutant_covers(old: str, new: str):
     return covers_from(source.replace(old, new))
 
 
-# name: (fragment of minimal_vertex_covers, its replacement)
+# name: (fragment of the covers module, its replacement)
 COVER_MUTATIONS = {
-    # every cover is kept, minimal or not
-    "containment test": (
-        "if all(m & w for m in masks) and not any(c & w == c for c in kept):",
-        "if all(m & w for m in masks):",
-    ),
-    # the whole support is kept first, and no smaller cover contains it
-    "largest sizes first": (
-        "for size in range(1, len(bits) + 1):",
-        "for size in range(len(bits), 0, -1):",
-    ),
+    # every cover the walk reaches is kept, minimal or not
+    "minimality filter": ("if not table[m ^ b]:", "if False:"),
+    # each variable's bitset holds the rows that are nonzero there
+    "zero bitset inverted": ('_ZERO_IS_ONE = b"1" + b"0" * 255', '_ZERO_IS_ONE = b"0" + b"1" * 255'),
+    # covers come out in walk order, not by size
+    "size order dropped": ("covers.sort(key=lambda c: (len(c), c))", "pass"),
+    # a cover is reached before the sets one removal gives are settled
+    "vertices tried upwards": ("range(last, start - 1, -1)", "range(start, last + 1)"),
 }
 
+# (2,3) t=4 s=2 has mixed cover sizes and a non-minimal cover the walk reaches
 MUTATION_IDEALS = [
     bitype_ideal(make_params((2, 2), 3, 2)),
-    bitype_ideal(make_params((2, 3), 5, 2)),
+    bitype_ideal(make_params((2, 3), 4, 2)),
     perfect_matching(3),
 ]
 
 
 class TestCoverMutations:
-    """Each broken rule of the size walk disagrees with the brute-force reference."""
+    """Each broken rule of the pruned walk disagrees with the brute-force reference."""
 
     @pytest.mark.parametrize("name", COVER_MUTATIONS)
     def test_mutant_disagrees(self, name):
